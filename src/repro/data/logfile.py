@@ -561,9 +561,11 @@ def load_store(
     Args:
         paths: the daily log files, in day order.
         jobs: number of worker processes.  ``None`` or 1 loads serially;
-            0 (or negative) uses all CPUs.  Days are independent, so the
-            parse work fans out cleanly under the supervised pool
-            (crashed/wedged workers are retried, then re-run serially).
+            0 uses all CPUs; a negative value raises ``ValueError``
+            (see :func:`repro.runtime.pool.resolve_jobs`).  Days are
+            independent, so the parse work fans out cleanly under the
+            supervised pool (crashed/wedged workers are retried, then
+            re-run serially).
         cache_dir: when given, each file's parsed columns are persisted
             in (and reused from) a binary columnar cache keyed by the
             file's content hash — see :mod:`repro.data.daycache`.
@@ -586,8 +588,6 @@ def load_store(
     if quarantine and policy is None:
         policy = QuarantinePolicy()
     path_list = [os.fspath(p) for p in paths]
-    if jobs is not None and jobs <= 0:
-        jobs = os.cpu_count() or 1
     tasks: List[_DayTask] = [(p, cache_dir, errors) for p in path_list]
     config = PoolConfig(label="load-store")
     outcomes = supervised_map(

@@ -7,12 +7,14 @@ whole map, a wedged worker stalls it forever, and a transient fault
 (NFS hiccup, cache race) aborts instead of retrying.  ``run_supervised``
 replaces them with one supervisor that provides:
 
-* **per-task isolation** — every task attempt runs in its own forked
-  child, so killing a misbehaving attempt cannot disturb its siblings;
-* **crashed-worker detection** — a child that dies without reporting
+* **persistent, isolated workers** — each call forks at most ``jobs``
+  workers once and feeds them task attempts over their pipes; killing
+  a wedged or crashed worker loses only that worker's in-flight
+  attempt, and a replacement is forked for the work that remains;
+* **crashed-worker detection** — a worker that dies without reporting
   (nonzero exit, lost pipe) is detected and the task retried;
-* **per-task timeouts** — a child exceeding ``timeout`` seconds is
-  killed and the task retried;
+* **per-task timeouts** — a worker exceeding ``timeout`` seconds on an
+  attempt is killed and the task retried;
 * **bounded retry with exponential backoff + jitter** — deterministic
   jitter derived from :mod:`repro.sim.rng` substreams, so two
   supervisors retrying the same task never thunder in lockstep and a
@@ -26,9 +28,10 @@ replaces them with one supervisor that provides:
 
 Workers inherit parent state by fork (copy-on-write), exactly like the
 engines' previous pools: callers set their module-level worker globals
-before calling ``run_supervised`` and clear them after.  Where fork is
-unavailable the supervisor degrades to serial in-process execution —
-slower, never wrong.
+before calling ``run_supervised`` and clear them after.  Only a task's
+index travels to a worker; the task list itself is inherited, never
+pickled.  Where fork is unavailable the supervisor degrades to serial
+in-process execution — slower, never wrong.
 
 Results are returned in task order regardless of completion order; the
 optional ``on_result`` callback fires in *completion* order and is the
@@ -176,48 +179,62 @@ def backoff_delay(config: PoolConfig, index: int, attempt: int) -> float:
     return delay * jitter
 
 
-def _child_main(
+def _worker_main(
     func: Callable[[Any], Any],
-    task: Any,
-    index: int,
-    attempt: int,
+    tasks: Sequence[Any],
     label: str,
     conn: Any,
+    inherited: Sequence[Any],
 ) -> None:
-    """Forked child body: run one task attempt, report through the pipe.
+    """Forked worker body: run the attempts the supervisor sends until stopped.
 
-    Exits via ``os._exit`` so the parent's inherited atexit handlers and
-    buffered streams are never run twice.  Fault-injection hooks (see
-    :mod:`repro.sim.faults`) are applied first, so a deterministic
-    "kill this worker" plan lands before any real work.
+    Each message is ``(index, attempt)``; the reply is one ``(outcome,
+    payload)``.  ``None`` (or EOF, when the supervisor is gone) stops
+    the worker.  ``inherited`` holds the parent-side pipe ends this
+    worker got through fork — its own and its older siblings' — which
+    are closed first: a copy left open here would keep a dead
+    supervisor's pipes from ever reaching EOF, so its workers would
+    block in ``recv`` forever.  Fault-injection hooks (see
+    :mod:`repro.sim.faults`) run before every attempt, so a
+    deterministic "kill this worker" plan lands before any real work.
+    Exits via ``os._exit`` so the parent's inherited atexit handlers
+    and buffered streams are never run twice.
     """
+    for end in inherited:
+        end.close()
     code = 0
     try:
-        if os.environ.get("REPRO_FAULTS"):
-            from repro.sim.faults import apply_worker_faults
+        while True:
+            message = conn.recv()
+            if message is None:
+                break
+            index, attempt = message
+            try:
+                if os.environ.get("REPRO_FAULTS"):
+                    from repro.sim.faults import apply_worker_faults
 
-            apply_worker_faults(label, index, attempt)
-        result = func(task)
-        conn.send((OUTCOME_OK, result))
-    except BaseException:  # noqa: BLE001 - the pipe is the error channel
-        code = 1
-        try:
-            conn.send((OUTCOME_ERROR, traceback.format_exc()))
-        except (OSError, ValueError):
-            code = 2
-    try:
-        conn.close()
+                    apply_worker_faults(label, index, attempt)
+                # The result is sent and dropped at once: a worker that
+                # lives across tasks must not keep earlier results alive.
+                conn.send((OUTCOME_OK, func(tasks[index])))
+            except BaseException:  # noqa: BLE001 - the pipe is the error channel
+                conn.send((OUTCOME_ERROR, traceback.format_exc()))
+    except (EOFError, OSError):
+        code = 2
     finally:
         os._exit(code)
 
 
 @dataclass
-class _Running:
+class _Worker:
+    """A persistent forked worker and the attempt it is running, if any."""
+
     process: Any
-    index: int
-    attempt: int
-    deadline: Optional[float]
-    started: float
+    conn: Any
+    index: int = -1
+    attempt: int = 0
+    deadline: Optional[float] = None
+    started: float = 0.0
 
 
 def run_supervised(
@@ -232,7 +249,9 @@ def run_supervised(
     in task order.  Serial execution (``jobs <= 1``, a single task, or
     no fork support) runs everything inline with no supervision
     overhead — exceptions propagate unchanged, exactly like a plain
-    loop.
+    loop.  Otherwise at most ``config.jobs`` workers are forked, each
+    once, and a worker is replaced only after it crashes or is killed
+    for a timeout.  No worker outlives the call.
     """
     task_list = list(tasks)
     report = RunReport(label=config.label, tasks=len(task_list))
@@ -263,7 +282,8 @@ def run_supervised(
     )
     #: (ready_time, index, attempt) — tasks sleeping out a backoff.
     waiting: List[Tuple[float, int, int]] = []
-    running: Dict[Any, _Running] = {}
+    idle: List[_Worker] = []
+    busy: Dict[Any, _Worker] = {}
     done = 0
 
     def finish(index: int, value: Any) -> None:
@@ -273,15 +293,33 @@ def run_supervised(
         if on_result is not None:
             on_result(index, value)
 
-    def kill(process: Any) -> None:
+    def spawn() -> _Worker:
+        conn, child_conn = context.Pipe()
+        inherited = [conn] + [w.conn for w in idle] + list(busy)
+        process = context.Process(
+            target=_worker_main,
+            args=(func, task_list, config.label, child_conn, inherited),
+            daemon=True,
+        )
+        process.start()
+        child_conn.close()
+        return _Worker(process, conn)
+
+    def retire(worker: _Worker) -> None:
+        """Kill and reap a worker that crashed, overran, or is still busy."""
         try:
-            process.kill()
+            worker.process.kill()
         except (OSError, ValueError):
             pass
-        process.join()
+        worker.process.join()
+        worker.conn.close()
 
-    def handle_failure(index: int, attempt: int, outcome: str, detail: str) -> None:
-        """Schedule a retry, fall back to serial, or raise."""
+    def fail(worker: _Worker, outcome: str, detail: str, elapsed: float) -> None:
+        """Record a failed attempt, then retry it, fall back to serial, or raise."""
+        index, attempt = worker.index, worker.attempt
+        report.attempts.append(
+            TaskAttempt(index, attempt, outcome, detail=detail, elapsed=elapsed)
+        )
         if attempt < config.retries:
             ready = time.monotonic() + backoff_delay(config, index, attempt + 1)
             waiting.append((ready, index, attempt + 1))
@@ -324,22 +362,21 @@ def run_supervised(
                     else:
                         still.append((ready, index, attempt))
                 waiting[:] = still
-            while pending and len(running) < config.jobs:
-                index, attempt = pending.popleft()
-                receiver, sender = context.Pipe(duplex=False)
-                process = context.Process(
-                    target=_child_main,
-                    args=(func, task_list[index], index, attempt, config.label, sender),
-                    daemon=True,
+            while pending and len(busy) < config.jobs:
+                worker = idle.pop() if idle else spawn()
+                worker.index, worker.attempt = pending.popleft()
+                worker.started = time.monotonic()
+                worker.deadline = (
+                    None
+                    if config.timeout is None
+                    else worker.started + config.timeout
                 )
-                process.start()
-                sender.close()
-                started = time.monotonic()
-                deadline = (
-                    None if config.timeout is None else started + config.timeout
-                )
-                running[receiver] = _Running(process, index, attempt, deadline, started)
-            if not running:
+                busy[worker.conn] = worker
+                try:
+                    worker.conn.send((worker.index, worker.attempt))
+                except OSError:
+                    pass  # a dead worker's pipe reads as EOF below: a crash
+            if not busy:
                 if waiting:
                     time.sleep(max(0.0, min(r for r, _i, _a in waiting) - now))
                     continue
@@ -347,82 +384,58 @@ def run_supervised(
 
             poll: Optional[float] = None
             bounds = [
-                entry.deadline for entry in running.values() if entry.deadline
+                worker.deadline for worker in busy.values() if worker.deadline
             ] + [ready for ready, _i, _a in waiting]
             if bounds:
                 poll = max(0.01, min(bounds) - time.monotonic())
-            ready_connections = connection_wait(list(running), timeout=poll)
+            ready_connections = connection_wait(list(busy), timeout=poll)
 
             for connection in ready_connections:
-                entry = running.pop(connection)
+                worker = busy[connection]
                 try:
                     kind, payload = connection.recv()
                 except (EOFError, OSError):
                     kind, payload = OUTCOME_CRASH, ""
-                connection.close()
-                entry.process.join()
-                elapsed = time.monotonic() - entry.started
+                del busy[connection]
+                elapsed = time.monotonic() - worker.started
+                if kind == OUTCOME_CRASH:
+                    retire(worker)
+                    detail = (
+                        f"worker pid {worker.process.pid} died "
+                        f"(exitcode {worker.process.exitcode})"
+                    )
+                    fail(worker, OUTCOME_CRASH, detail, elapsed)
+                    continue
+                idle.append(worker)
                 if kind == OUTCOME_OK:
                     report.attempts.append(
-                        TaskAttempt(entry.index, entry.attempt, OUTCOME_OK, elapsed=elapsed)
+                        TaskAttempt(worker.index, worker.attempt, OUTCOME_OK, elapsed=elapsed)
                     )
-                    finish(entry.index, payload)
-                elif kind == OUTCOME_CRASH:
-                    detail = (
-                        f"worker pid {entry.process.pid} died "
-                        f"(exitcode {entry.process.exitcode})"
-                    )
-                    report.attempts.append(
-                        TaskAttempt(
-                            entry.index,
-                            entry.attempt,
-                            OUTCOME_CRASH,
-                            detail=detail,
-                            elapsed=elapsed,
-                        )
-                    )
-                    handle_failure(entry.index, entry.attempt, OUTCOME_CRASH, detail)
+                    finish(worker.index, payload)
                 else:
-                    report.attempts.append(
-                        TaskAttempt(
-                            entry.index,
-                            entry.attempt,
-                            OUTCOME_ERROR,
-                            detail=str(payload),
-                            elapsed=elapsed,
-                        )
-                    )
-                    handle_failure(
-                        entry.index, entry.attempt, OUTCOME_ERROR, str(payload)
-                    )
+                    fail(worker, OUTCOME_ERROR, str(payload), elapsed)
 
             now = time.monotonic()
-            for connection, entry in list(running.items()):
-                if entry.deadline is not None and now > entry.deadline:
-                    running.pop(connection)
-                    kill(entry.process)
-                    connection.close()
+            for connection, worker in list(busy.items()):
+                if worker.deadline is not None and now > worker.deadline:
+                    busy.pop(connection)
+                    retire(worker)
                     detail = (
-                        f"worker pid {entry.process.pid} exceeded "
+                        f"worker pid {worker.process.pid} exceeded "
                         f"{config.timeout}s timeout"
                     )
-                    report.attempts.append(
-                        TaskAttempt(
-                            entry.index,
-                            entry.attempt,
-                            OUTCOME_TIMEOUT,
-                            detail=detail,
-                            elapsed=now - entry.started,
-                        )
-                    )
-                    handle_failure(entry.index, entry.attempt, OUTCOME_TIMEOUT, detail)
+                    fail(worker, OUTCOME_TIMEOUT, detail, now - worker.started)
     finally:
-        for connection, entry in running.items():
-            kill(entry.process)
+        for worker in busy.values():
+            retire(worker)
+        for worker in idle:
             try:
-                connection.close()
-            except (OSError, ValueError):
-                pass
+                worker.conn.send(None)  # stop sentinel: the worker exits
+            except OSError:
+                pass  # the worker is already gone; join reaps it
+        for worker in idle:
+            worker.process.join()
+            worker.conn.close()
     return results, report
 
 

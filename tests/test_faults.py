@@ -197,7 +197,9 @@ class TestWorkerFaultEnv:
         )
         sink = []
         survived = load_store(paths, jobs=2, report_sink=sink)
-        assert sink[0].crashes > 0  # every first attempt was SIGKILLed
+        # Every first attempt was SIGKILLed, and each retry then ran once.
+        assert sink[0].crashes == len(paths)
+        assert len(sink[0].attempts) == 2 * len(paths)
         assert survived.days() == baseline.days()
         import numpy as np
 

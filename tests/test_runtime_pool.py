@@ -53,6 +53,17 @@ class _FlakyCrash:
         return value * value
 
 
+class _FlakyCrashPid(_FlakyCrash):
+    """:class:`_FlakyCrash` that also reports which process ran it."""
+
+    def __call__(self, value):
+        return super().__call__(value), os.getpid()
+
+
+def _pid(_value):
+    return os.getpid()
+
+
 class _FlakyRaise:
     """Raises until its marker file exists, then works."""
 
@@ -231,6 +242,46 @@ class TestParallelPath:
             run_supervised(
                 _always_raises, [3, 4], PoolConfig(jobs=2, **FAST)
             )
+
+
+@needs_fork
+class TestPersistentWorkers:
+    def test_each_worker_forked_once(self):
+        results, report = run_supervised(_pid, list(range(40)), PoolConfig(jobs=2))
+        assert len(set(results)) <= 2
+        assert os.getpid() not in results
+        assert report.clean and len(report.attempts) == 40
+
+    def test_crashed_worker_is_replaced(self, tmp_path):
+        func = _FlakyCrashPid(tmp_path / "armed")
+        results, report = run_supervised(
+            func, list(range(20)), PoolConfig(jobs=2, **FAST)
+        )
+        assert [value for value, _pid in results] == [t * t for t in range(20)]
+        assert report.crashes == 1
+        assert len({pid for _value, pid in results}) <= 2 + report.crashes
+
+    def test_no_child_outlives_a_clean_run(self):
+        run_supervised(_square, list(range(10)), PoolConfig(jobs=2))
+        assert multiprocessing.active_children() == []
+
+    def test_no_child_outlives_pool_task_error(self):
+        func = _ChildPoison(os.getpid())
+        with pytest.raises(PoolTaskError):
+            run_supervised(
+                func, [3, 4, 5], PoolConfig(jobs=2, fallback=False, **FAST)
+            )
+        assert multiprocessing.active_children() == []
+
+    def test_no_child_outlives_on_result_error(self):
+        def on_result(index, value):
+            raise KeyError(index)
+
+        with pytest.raises(KeyError):
+            run_supervised(
+                _square, list(range(10)), PoolConfig(jobs=2), on_result=on_result
+            )
+        assert multiprocessing.active_children() == []
 
 
 class TestRunReport:

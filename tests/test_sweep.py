@@ -20,6 +20,7 @@ from repro.core.sweep import (
 )
 from repro.core.temporal import classify_day, classify_week, stability_table
 from repro.data import store as obstore
+from repro.data.logfile import load_store
 from repro.data.store import ObservationStore
 
 
@@ -108,6 +109,8 @@ class TestSweepMatchesClassifyDay:
             sweep_days(store, chunk_days=0)
         with pytest.raises(ValueError):
             sweep_days(store, jobs=-2)
+        with pytest.raises(ValueError):
+            load_store([], jobs=-2)
 
 
 class TestSweepGranularities:
