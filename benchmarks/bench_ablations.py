@@ -5,19 +5,28 @@
   both costs (the array path is the library default because it touches
   each address once regardless of the 129 lengths).
 * **Density backend**: the fixed-length fast path (the paper's own
-  shortcut) versus the general densify on the aguri tree, for the same
-  n@/p class.  Identical dense-prefix sets when the general result is
-  widened; the fast path is what Table 3 uses.
+  shortcut, in its reference ``Counter`` form) versus the general
+  densify, for the same n@/p class.  Identical dense-prefix sets when
+  the general result is widened; the fast path is what Table 3 uses.
+
+The radix trie and the fixed-length reference come from the test
+oracles (``tests/oracles/tree.py``).
 """
+
+import os
+import sys
 
 import numpy as np
 import pytest
 
-from repro.core.mra import aggregate_counts
-from repro.data import store as obstore
-from repro.net.addr import ADDRESS_BITS
-from repro.sim import EPOCH_2015_03
-from repro.trie import build_tree, compute_dense_prefixes, dense_prefixes_fixed
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+from repro.core.mra import aggregate_counts  # noqa: E402
+from repro.core.spatial import general_dense_prefixes  # noqa: E402
+from repro.data import store as obstore  # noqa: E402
+from repro.net.addr import ADDRESS_BITS  # noqa: E402
+from repro.sim import EPOCH_2015_03  # noqa: E402
+from tests.oracles.tree import build_tree, dense_prefixes_fixed  # noqa: E402
 
 
 def trie_aggregate_counts(addresses) -> np.ndarray:
@@ -90,11 +99,11 @@ def test_ablation_density_fixed_fast_path(benchmark, day_array, report):
 def test_ablation_density_general_densify(benchmark, day_array, report):
     addresses = day_array_ints(day_array)
     general = benchmark.pedantic(
-        compute_dense_prefixes, args=(addresses, 2, 112, True), rounds=1,
+        general_dense_prefixes, args=(addresses, 2, 112, True), rounds=1,
         iterations=1,
     )
     fixed = dense_prefixes_fixed(addresses, 2, 112)
-    report.section("Ablation: general densify (aguri tree) vs fast path")
+    report.section("Ablation: general densify vs fast path")
     report.add(f"general (widened): {len(general)}; fixed: {len(fixed)}")
     assert {(network, length) for network, length, _c in general} == {
         (network, length) for network, length, _c in fixed

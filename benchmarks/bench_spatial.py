@@ -5,7 +5,7 @@ with realistic prefix clustering (addresses concentrated in a pool of
 subnets, so the dense classes are non-trivial):
 
 * **tree_densify** — the reference general densify
-  (:func:`repro.trie.aguri.compute_dense_prefixes_tree`): one
+  (:func:`tests.oracles.tree.compute_dense_prefixes_tree`): one
   ``RadixNode`` per address, then the paper's post-order fold.
 * **engine_densify** — :func:`repro.core.spatial.general_dense_prefixes`
   on the same set: one adjacent-LCP scan plus a vectorized interval
@@ -45,15 +45,15 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-)
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, REPO_ROOT)
+sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.core.density import TABLE3_CLASSES, table3  # noqa: E402
 from repro.core.spatial import general_dense_prefixes, sweep_spatial  # noqa: E402
 from repro.data import store as obstore  # noqa: E402
 from repro.data.store import DailyObservations, ObservationStore  # noqa: E402
-from repro.trie.aguri import compute_dense_prefixes_tree  # noqa: E402
+from tests.oracles.tree import compute_dense_prefixes_tree  # noqa: E402
 
 #: The general-densify classes measured against the tree reference.
 DENSIFY_CLASSES = [(2, 112), (8, 112), (2, 120)]

@@ -4,12 +4,11 @@ Measures the §5.1 stability classifier over a year-long synthetic store
 (persistent + ephemeral address populations, so the stability classes
 are non-trivial):
 
-* **per_day_seed** — the pre-sweep per-day path kept verbatim: for every
+* **per_day** — the pre-sweep per-day path, run from the test oracle
+  (:func:`tests.oracles.temporal.reference_classify_day`): for every
   reference day, re-scan all window days with membership tests and
-  scalar-dispatch ``np.minimum.at``/``np.maximum.at`` updates.
-* **per_day** — the current :func:`repro.core.temporal.classify_day`
-  (vectorized ``np.where`` updates) called once per day — the baseline
-  the sweep is judged against.
+  scalar-dispatch ``np.minimum.at``/``np.maximum.at`` updates — the
+  baseline the sweep is judged against.
 * **sweep_serial** — :func:`repro.core.sweep.sweep_days` in one process.
 * **sweep_jobs** — the same sweep fanned out over worker processes.
 * **sweep_both_granularities** — /128 and /64 sweeps sharing one pool
@@ -43,47 +42,21 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-)
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, REPO_ROOT)
+sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.core.streaming import StabilityStream  # noqa: E402
 from repro.core.sweep import sweep_days, sweep_granularities  # noqa: E402
-from repro.core.temporal import StabilityResult, classify_day  # noqa: E402
-from repro.data import store as obstore  # noqa: E402
+from repro.core.temporal import StabilityResult  # noqa: E402
 from repro.data.store import DailyObservations, ObservationStore  # noqa: E402
+from tests.oracles.temporal import reference_classify_day  # noqa: E402
 
 
-# --------------------------------------------------------------------------
-# Pre-sweep per-day path, kept verbatim so the comparison stays honest
-# even as the library's own classifier keeps improving.
-# --------------------------------------------------------------------------
-
-
-def _seed_classify_day(
-    observations: ObservationStore,
-    reference_day: int,
-    window_before: int = 7,
-    window_after: int = 7,
-) -> StabilityResult:
-    active = observations.array(reference_day)
-    size = obstore.array_size(active)
-    min_day = np.full(size, reference_day, dtype=np.int64)
-    max_day = np.full(size, reference_day, dtype=np.int64)
-    for day in range(reference_day - window_before, reference_day + window_after + 1):
-        if day == reference_day or day not in observations:
-            continue
-        present = obstore.member_mask(active, observations.array(day))
-        if day < reference_day:
-            np.minimum.at(min_day, np.nonzero(present)[0], day)
-        else:
-            np.maximum.at(max_day, np.nonzero(present)[0], day)
-    return StabilityResult(
-        reference_day=reference_day,
-        window=(window_before, window_after),
-        active=active,
-        gaps=max_day - min_day,
-    )
+def _per_day(observations: ObservationStore, reference_day: int) -> StabilityResult:
+    """One reference day classified by the per-day window rescan."""
+    active, gaps = reference_classify_day(observations, reference_day)
+    return StabilityResult(reference_day, (7, 7), active, gaps)
 
 
 # --------------------------------------------------------------------------
@@ -141,26 +114,13 @@ def _assert_identical(
         )
 
 
-def run_benchmark(
-    days: int,
-    addrs_per_day: int,
-    jobs: int,
-    seed: int,
-    skip_seed_baseline: bool,
-) -> Dict:
+def run_benchmark(days: int, addrs_per_day: int, jobs: int, seed: int) -> Dict:
     store = build_synthetic_store(days, addrs_per_day, seed)
     day_list = store.days()
     results: Dict[str, float] = {}
 
-    if not skip_seed_baseline:
-        results["per_day_seed"], seed_results = _timed(
-            lambda: [_seed_classify_day(store, day) for day in day_list]
-        )
-    else:
-        seed_results = None
-
     results["per_day"], per_day = _timed(
-        lambda: [classify_day(store, day) for day in day_list]
+        lambda: [_per_day(store, day) for day in day_list]
     )
     results["sweep_serial"], swept = _timed(lambda: sweep_days(store))
     results["sweep_jobs"], swept_jobs = _timed(lambda: sweep_days(store, jobs=jobs))
@@ -182,8 +142,6 @@ def run_benchmark(
     _assert_identical("sweep_jobs", per_day, swept_jobs)
     _assert_identical("sweep_granularities[128]", per_day, both[128])
     _assert_identical("stream", per_day, streamed)
-    if seed_results is not None:
-        _assert_identical("per_day_seed", per_day, seed_results)
 
     speedups = {
         "sweep_vs_per_day": results["per_day"] / results["sweep_serial"],
@@ -191,9 +149,6 @@ def run_benchmark(
         "sweep_jobs_vs_serial": results["sweep_serial"] / results["sweep_jobs"],
         "stream_vs_per_day": results["per_day"] / results["stream"],
     }
-    if "per_day_seed" in results:
-        speedups["per_day_vs_seed"] = results["per_day_seed"] / results["per_day"]
-        speedups["sweep_vs_seed"] = results["per_day_seed"] / results["sweep_serial"]
 
     return {
         "config": {
@@ -207,7 +162,7 @@ def run_benchmark(
         },
         "seconds": {k: round(v, 4) for k, v in results.items()},
         "speedups": {k: round(v, 2) for k, v in speedups.items()},
-        "verified": "bit-identical to per-day classify_day",
+        "verified": "bit-identical to the per-day window rescan",
         "targets": {
             "sweep_vs_per_day >= 5x": round(speedups["sweep_vs_per_day"], 2),
         },
@@ -223,19 +178,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--quick", action="store_true", help="tiny run for CI smoke (40 days x 3k)"
     )
-    parser.add_argument(
-        "--no-seed-baseline",
-        action="store_true",
-        help="skip the slow pre-sweep per-day measurement",
-    )
     parser.add_argument("--out", default=None, help="write results JSON here")
     args = parser.parse_args(argv)
     if args.quick:
         args.days, args.addrs = 40, 3_000
 
-    report = run_benchmark(
-        args.days, args.addrs, args.jobs, args.seed, args.no_seed_baseline
-    )
+    report = run_benchmark(args.days, args.addrs, args.jobs, args.seed)
     text = json.dumps(report, indent=2)
     print(text)
     if args.out:

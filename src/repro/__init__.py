@@ -5,11 +5,11 @@ The package implements the paper's classifiers from scratch, together
 with every substrate the study depends on:
 
 * :mod:`repro.net` — IPv6 address/prefix/MAC machinery;
-* :mod:`repro.trie` — Patricia trie, aguri aggregation, densify;
 * :mod:`repro.core` — the temporal and spatial classifiers, the
   address-format classifier, the Malone-style baseline, MRA, population
-  distributions, dense prefixes, longest-stable-prefix discovery, and
-  the census pipeline;
+  distributions, dense prefixes (the paper's densify, run on sorted
+  address arrays), longest-stable-prefix discovery, and the census
+  pipeline;
 * :mod:`repro.data` — the day-indexed observation store and log I/O;
 * :mod:`repro.sim` — the synthetic internet + CDN-log simulator that
   substitutes for the paper's proprietary data sources;

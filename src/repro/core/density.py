@@ -2,7 +2,7 @@
 
 The spatial class *n@/p-dense* is the set of length-p prefixes containing
 at least n observed addresses, together with the addresses inside them.
-This module wraps the trie-level primitives with the bookkeeping the
+This module wraps the spatial engine's primitives with the bookkeeping the
 paper reports for each density class:
 
 * the number of dense prefixes found,

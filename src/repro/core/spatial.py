@@ -3,11 +3,10 @@
 The paper's spatial methods — MRA count ratios (§5.2.1), aggregate
 population CCDFs (§5.2.2) and the aguri-style *densify* operation behind
 Table 3 (§5.2.3) — all interrogate the same object: the prefix structure
-of a sorted address set.  The tree implementation
-(:mod:`repro.trie.aguri`) materializes that structure as one Python
-``RadixNode`` per address, which cannot densify a year-scale store in
-reasonable time.  This engine computes the identical answers directly on
-the canonical ``(hi, lo)`` columnar address arrays:
+of a sorted address set.  The paper describes densify as a post-order
+fold over a Patricia tree with one node per address; this engine
+computes the identical answers directly on the canonical ``(hi, lo)``
+columnar address arrays, with no tree:
 
 * One vectorized **adjacent-LCP scan**
   (:func:`repro.core.mra.adjacent_common_prefix_lengths`) is shared by
@@ -23,8 +22,8 @@ the canonical ``(hi, lo)`` columnar address arrays:
   the paper's *general densify* reduces to an interval sweep: report the
   dense nodes not covered by any dense ancestor interval
   (:func:`general_dense_prefixes`) — bit-identical to building the
-  2M-node radix tree and folding it (tested and asserted in
-  ``benchmarks/bench_spatial.py``).
+  radix tree and folding it (the tree is kept as a test oracle and
+  asserted against in ``benchmarks/bench_spatial.py``).
 
 Per-day spatial profiles over a whole store run through
 :func:`sweep_spatial`, which mirrors :mod:`repro.core.sweep`'s
@@ -50,7 +49,63 @@ from repro.data.store import ObservationStore
 from repro.net import addr
 from repro.net.prefix import check_length
 from repro.runtime.pool import PoolConfig, RunReport, resolve_jobs, run_supervised
-from repro.trie.aguri import density_threshold, widen_dense_prefixes
+
+
+def density_threshold(n: int, p: int, length: int) -> int:
+    """Minimum count for a length-``length`` prefix to meet n@/p density.
+
+    The desired minimum density is ``n / 2**(128 - p)``.  A length-``q``
+    prefix spans ``2**(128 - q)`` addresses, so it meets the density when
+    its count is at least ``n * 2**(p - q)`` — which for ``q > p`` is a
+    fraction, i.e. any single observation suffices.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1: {n}")
+    check_length(p)
+    check_length(length)
+    if length >= p:
+        shift = length - p
+        # ceil(n / 2**shift), never below 1.
+        return max(1, (n + (1 << shift) - 1) >> shift)
+    return n << (p - length)
+
+
+def widen_dense_prefixes(
+    found: Iterable[Tuple[int, int, int]], p: int
+) -> List[Tuple[int, int, int]]:
+    """Widen reported prefixes longer than ``p`` to exactly /p and merge.
+
+    Prefixes longer than ``p`` are truncated to /p, and clusters landing
+    on the same /p have their counts summed.  Prefixes already shorter
+    than (or equal to) ``p`` are kept as-is — and because widening only
+    *shortens* lengths down to ``p``, a widened /p can come to sit inside
+    a kept shorter prefix when the input list contains nested prefixes
+    (e.g. reports from a tree holding explicitly inserted prefixes, or
+    dense lists merged across days).  Such nested entries are dropped
+    after widening: a containing prefix's count already includes the
+    addresses of everything below it, so keeping both would double-count.
+    The result is guaranteed non-overlapping whenever containing prefixes
+    carry subtree-total counts (as all densify reports do).
+    """
+    check_length(p)
+    merged: Dict[Tuple[int, int], int] = {}
+    for network, length, count in found:
+        if length > p:
+            network, length = addr.truncate(network, p), p
+        key = (network, length)
+        merged[key] = merged.get(key, 0) + count
+    result: List[Tuple[int, int, int]] = []
+    # Sorted by (network, length), a nested prefix immediately follows a
+    # prefix that contains it or is disjoint from every kept one, so a
+    # single look-back at the last kept entry suffices.
+    for (network, length), count in sorted(merged.items()):
+        if result:
+            kept_network, kept_length, _kept_count = result[-1]
+            if kept_length <= length and addr.truncate(network, kept_length) == kept_network:
+                continue
+        result.append((network, length, count))
+    return result
+
 
 #: Counts are array sizes, far below 2**62; thresholds above this cap can
 #: never be met, so the table stays within int64.
@@ -61,10 +116,9 @@ def threshold_table(n: int, p: int) -> np.ndarray:
     """Density thresholds for every node length, as an int64 lookup table.
 
     ``table[length]`` is the minimum subtree count for a length-``length``
-    node to meet the ``n@/p`` density, per
-    :func:`repro.trie.aguri.density_threshold`; astronomically large
-    thresholds (short lengths far above ``p``) are clipped to an
-    unreachable cap so the table fits int64.
+    node to meet the ``n@/p`` density, per :func:`density_threshold`;
+    astronomically large thresholds (short lengths far above ``p``) are
+    clipped to an unreachable cap so the table fits int64.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1: {n}")
@@ -164,12 +218,11 @@ def general_dense_prefixes(
 ) -> List[Tuple[int, int, int]]:
     """Vectorized general densify: the paper's §5.2.3 on columnar arrays.
 
-    Bit-identical to
-    ``repro.trie.aguri.compute_dense_prefixes(addresses, n, p, widen)``
-    — the least-specific non-overlapping prefixes meeting density
-    ``n / 2**(128 - p)`` with at least n observed addresses — but
-    computed from the adjacent-LCP array instead of a per-address radix
-    tree:
+    Returns the least-specific non-overlapping prefixes meeting density
+    ``n / 2**(128 - p)`` that contain at least n observed addresses, as
+    (network, length, count) tuples sorted by network — what building a
+    per-address radix tree and folding it post-order reports, but
+    computed from the adjacent-LCP array:
 
     1. every Patricia branch node is an LCP entry; its subtree count is
        the width of the maximal surrounding run of LCPs at least as long
@@ -181,7 +234,14 @@ def general_dense_prefixes(
        node into its shallowest dense ancestor, so exactly the
        coverage-1 intervals survive (one difference-array cumsum).
 
-    The tree implementation remains as the reference; the equivalence is
+    Dense aggregates form at Patricia branch points, so a cluster whose
+    addresses share, say, 125 leading bits reports as a /125 even when
+    the requested class is 2@/112.  With ``widen=True`` any reported
+    prefix longer than ``p`` is widened to exactly /p via
+    :func:`widen_dense_prefixes`, the useful form for generating
+    /p-sized scan targets.
+
+    The tree implementation is kept as a test oracle; the equivalence is
     asserted property-style in the tests and in ``bench_spatial.py``.
     """
     if n < 1:

@@ -21,7 +21,7 @@ every emitted day).  Pending days wait in a ``deque``, so draining is
 O(1) per emission rather than an O(n) list shift.
 
 The emitted results are identical to the batch classifier's
-(:func:`repro.core.temporal.classify_day` over a store holding the same
+(:func:`repro.core.sweep.sweep_days` over a store holding the same
 days), which a test asserts.
 """
 

@@ -1,12 +1,12 @@
 """Incremental sliding-window sweep engine for temporal classification (§5.1).
 
-:func:`repro.core.temporal.classify_day` answers one question — "which of
-this day's addresses are nd-stable?" — by re-scanning every day of the
-``(-before, +after)`` window.  Classifying *every* day of a store that way
-touches each day array ``window``-many times, which dominates the runtime
-of full-campaign analyses now that ingestion is fast.
+The paper's question — "which of this day's addresses are nd-stable?" —
+can be answered by re-scanning every day of the ``(-before, +after)``
+window, but classifying *every* day of a store that way touches each day
+array ``window``-many times.  This module is the one temporal engine: it
+classifies every requested day in one chronological pass, and
+:func:`repro.core.temporal.classify_day` is its one-day case.
 
-This module classifies every requested day in one chronological pass.
 The core observation: for an address active on reference day ``r``, the
 classifier's per-address extremes are exactly the first and last days the
 address was observed within ``[r - before, r + after]`` — and because the
@@ -27,8 +27,8 @@ engine:
    order.
 
 The emitted :class:`~repro.core.temporal.StabilityResult` objects are
-bit-identical to per-day :func:`classify_day` output (tested), while each
-day array is touched O(1) times instead of O(window).
+bit-identical to the per-day window rescan (kept as a test oracle), while
+each day array is touched O(1) times instead of O(window).
 
 Long campaigns are processed in bounded-memory chunks of reference days
 (overlapping by the window so results stay exact), and chunks can be
@@ -190,7 +190,7 @@ def _sweep_chunk(
     """Classify one chunk of reference days; return (day, gaps) pairs.
 
     Gaps arrays are parallel to each reference day's sorted address
-    array; absent days yield empty arrays, matching ``classify_day``.
+    array; absent days yield empty arrays.
     """
     low = ref_days[0] - window_before
     high = ref_days[-1] + window_after
@@ -352,10 +352,10 @@ def sweep_days(
 ) -> List[StabilityResult]:
     """Classify every requested day of the store in one rolling pass.
 
-    Equivalent to ``[classify_day(observations, d, ...) for d in days]``
-    — bit-identical results — but each day array is touched O(1) times
-    instead of once per overlapping window.  ``days`` defaults to every
-    day in the store; days absent from the store yield empty results.
+    Bit-identical to rescanning each reference day's window separately,
+    but each day array is touched O(1) times instead of once per
+    overlapping window.  ``days`` defaults to every day in the store;
+    days absent from the store yield empty results.
 
     ``jobs`` fans chunks of ``chunk_days`` reference days out over
     supervised fork-based worker processes (``0`` = all CPUs,
@@ -443,12 +443,12 @@ class SweepState:
 
     Days enter with :meth:`push_day` (chronological order) and leave with
     :meth:`evict_before`; :meth:`classify` answers for any buffered
-    reference day, bit-identical to ``classify_day`` over a store holding
-    the same days.  The buffered observations are kept merged and sorted
-    by (address, day) — consolidation runs at most once per push, one
-    stable radix sort over the live window, replacing the per-emission
-    store rebuild and O(window) membership rescans of the pre-sweep
-    streaming classifier.
+    reference day, bit-identical to :func:`sweep_days` over a store
+    holding the same days.  The buffered observations are kept merged
+    and sorted by (address, day) — consolidation runs at most once per
+    push, one stable radix sort over the live window, replacing the
+    per-emission store rebuild and O(window) membership rescans of the
+    pre-sweep streaming classifier.
     """
 
     def __init__(

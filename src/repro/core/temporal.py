@@ -18,9 +18,9 @@ Definitions, from the paper:
 * All of this generalizes to prefixes of any length by truncating the
   observed addresses first (the paper's /64 analysis).
 
-The implementation is vectorized over the day-indexed
-:class:`~repro.data.store.ObservationStore`: classifying one reference day
-touches each window day once with a sorted-array membership test.
+Every classification runs on the sweep engine (:mod:`repro.core.sweep`)
+over the day-indexed :class:`~repro.data.store.ObservationStore`;
+:func:`classify_day` is its one-day case.
 """
 
 from __future__ import annotations
@@ -99,27 +99,13 @@ def classify_day(
     *nd-stable*.  Days absent from the store contribute nothing (no data
     is different from an empty set only in what it proves; both yield
     "not stable").
+
+    The one-day case of the sweep engine
+    (:func:`repro.core.sweep.sweep_days`).
     """
-    if window_before < 0 or window_after < 0:
-        raise ValueError("window spans must be non-negative")
-    active = observations.array(reference_day)
-    size = obstore.array_size(active)
-    min_day = np.full(size, reference_day, dtype=np.int64)
-    max_day = np.full(size, reference_day, dtype=np.int64)
-    for day in range(reference_day - window_before, reference_day + window_after + 1):
-        if day == reference_day or day not in observations:
-            continue
-        present = obstore.member_mask(active, observations.array(day))
-        if day < reference_day:
-            min_day = np.where(present, np.minimum(min_day, day), min_day)
-        else:
-            max_day = np.where(present, np.maximum(max_day, day), max_day)
-    return StabilityResult(
-        reference_day=reference_day,
-        window=(window_before, window_after),
-        active=active,
-        gaps=max_day - min_day,
-    )
+    from repro.core.sweep import sweep_days
+
+    return sweep_days(observations, [reference_day], window_before, window_after)[0]
 
 
 @dataclass

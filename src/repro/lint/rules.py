@@ -145,18 +145,19 @@ Invariant: thresholds applied to integer counts (address-set sizes, hit
 tallies, subtree counts) must be computed exactly over integers, never
 as float products.
 
-Historical bug: the aguri-style aggregation compared a node's integer
+Historical bug: an earlier aguri-style aggregation (Cho et al.'s
+percentage-of-total profile, since removed) compared a node's integer
 count against ``fraction * total`` — but ``0.07 * 100`` is
 ``7.000000000000001`` in binary floating point, so a node holding
 exactly the threshold share (count 7 of 100) was misclassified and
-folded into its parent.  The fix (repro.trie.aguri.aguri_aggregate)
-reads the fraction as the decimal it was written as and compares
-``count * denominator < numerator * total`` in exact integers.
+folded into its parent.  The fix read the fraction as the decimal it
+was written as and compared ``count * denominator < numerator * total``
+in exact integers.
 
 Fix: restate the comparison over integers — e.g. for ``count <
 fraction * total`` with ``fraction = a/b``, compare ``count * b < a *
 total``; for density thresholds use ceiling-integer shift arithmetic as
-in repro.trie.aguri.density_threshold.
+in repro.core.spatial.density_threshold.
 
 Suppress with ``# repro-lint: ignore[R001]`` when both sides are
 genuinely real-valued (no integer count involved).

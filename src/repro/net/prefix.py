@@ -165,15 +165,6 @@ class Prefix:
         """Yield every address in the block as an integer (use with care)."""
         return iter(range(self._network, self.last + 1))
 
-    def child_bit(self, address: int) -> int:
-        """Return the first bit of ``address`` past this prefix (0 or 1).
-
-        Useful for radix-tree descent.  Requires ``length < 128``.
-        """
-        if self._length >= ADDRESS_BITS:
-            raise PrefixError("no child bit beyond a /128")
-        return (address >> (ADDRESS_BITS - 1 - self._length)) & 1
-
     def __str__(self) -> str:
         return f"{addr.format_address(self._network)}/{self._length}"
 

@@ -1,25 +1,27 @@
-"""Binary Patricia (radix) tree over the 128-bit IPv6 address space.
+"""Reference spatial engines: the Patricia tree and the paper's densify.
 
-This is the data structure underlying aguri-style aggregation (Cho et al.)
-and the paper's new *densify* operation (§5.2.3).  Each node corresponds to
-a prefix (network, length); internal nodes are created only at branch
-points, Patricia-style, so the tree stays proportional to the number of
-inserted items rather than to the address-space depth.
+Test oracles for :mod:`repro.core.spatial`.  :class:`RadixTree` is a
+binary Patricia (radix) tree over the 128-bit IPv6 address space: each
+node is a prefix (network, length), internal nodes exist only at branch
+points, and each node carries a ``count`` of observations attributed to
+exactly that prefix (:attr:`RadixNode.subtree_count` gives the inclusive
+total).  :func:`densify` is the paper's §5.2.3 post-order fold over that
+tree, and :func:`compute_dense_prefixes_tree` the end-to-end general
+densify that :func:`repro.core.spatial.general_dense_prefixes` must match
+bit for bit.  :func:`dense_prefixes_fixed` is the paper's fixed-length
+shortcut ("add each address with a /p and skip to step 3") as a plain
+``Counter`` loop, the oracle for :func:`repro.core.spatial.dense_runs`.
 
-Each node carries a ``count``, the number of observations attributed to
-exactly that node (not including descendants); :attr:`RadixNode.subtree_count`
-gives the inclusive total.  Aggregation operations move counts from
-children onto ancestors and delete the children — the "pruning" the paper
-describes.
-
-The implementation is deliberately iterative (explicit stacks) so that very
-deep, degenerate insert orders cannot hit Python's recursion limit.
+The tree is deliberately iterative (explicit stacks) so that very deep,
+degenerate insert orders cannot hit Python's recursion limit.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from collections import Counter
+from typing import Iterable, Iterator, List, Optional, Tuple
 
+from repro.core.spatial import density_threshold, widen_dense_prefixes
 from repro.net import addr
 from repro.net.addr import ADDRESS_BITS
 from repro.net.prefix import Prefix, check_length
@@ -312,3 +314,96 @@ class RadixTree:
                     stack.append((node, node.left))
                 if node.right is not None:
                     stack.append((node, node.right))
+
+
+def build_tree(addresses: Iterable[int]) -> RadixTree:
+    """Populate a radix tree with addresses, each a /128 with count 1.
+
+    Duplicate addresses accumulate on the same node; callers who want
+    distinct-address semantics should deduplicate first.
+    """
+    tree = RadixTree()
+    for value in addresses:
+        tree.add_address(value)
+    return tree
+
+
+def densify(tree: RadixTree, n: int, p: int, max_length: int = 127) -> None:
+    """Aggregate the tree in place so dense prefixes become single nodes.
+
+    Implements the paper's densify post-order traversal: when visiting a
+    node that has children and whose subtree count meets the density
+    ``n / 2**(128 - p)`` for the node's own prefix length, the children are
+    folded into the node.  Nodes longer than ``max_length`` (127 per the
+    paper, so a lone /128 never reports as a "prefix") always fold upward
+    when their parent qualifies.
+    """
+    check_length(max_length)
+    for node in tree.nodes_postorder():
+        if node.is_leaf:
+            continue
+        if node.length > max_length:
+            tree.absorb_children(node)
+            continue
+        combined = node.subtree_count
+        if combined >= density_threshold(n, p, node.length):
+            tree.absorb_children(node)
+
+
+def dense_prefixes(
+    tree: RadixTree, n: int, min_length: int = 0, max_length: int = 127
+) -> List[Tuple[int, int, int]]:
+    """Report (network, length, count) for densified nodes with count >= n.
+
+    Run after :func:`densify`; performs the paper's step 3.  Sparse
+    addresses remain as low-count nodes and are skipped.  ``min_length``
+    optionally filters out prefixes shorter than the requested class;
+    ``max_length`` defaults to 127 per the paper, so a lone /128 address
+    never reports as a dense *prefix*.
+    """
+    results: List[Tuple[int, int, int]] = []
+    for network, length, count in tree.counted_prefixes():
+        if count >= n and min_length <= length <= max_length:
+            results.append((network, length, count))
+    results.sort()
+    return results
+
+
+def compute_dense_prefixes_tree(
+    addresses: Iterable[int], n: int, p: int, widen: bool = False
+) -> List[Tuple[int, int, int]]:
+    """Tree-based general densify: build tree, densify, report.
+
+    The reference implementation — one :class:`RadixNode` per address,
+    then the paper's post-order fold.  Kept for verification: the
+    array-native engine (:func:`repro.core.spatial.general_dense_prefixes`)
+    is asserted bit-identical to this path in the tests and in
+    ``benchmarks/bench_spatial.py``.
+    """
+    tree = build_tree(set(addresses))
+    densify(tree, n, p)
+    found = dense_prefixes(tree, n)
+    if not widen:
+        return found
+    return widen_dense_prefixes(found, p)
+
+
+def dense_prefixes_fixed(
+    addresses: Iterable[int], n: int, p: int
+) -> List[Tuple[int, int, int]]:
+    """Fixed-length dense-prefix computation (the paper's shortcut).
+
+    Equivalent to adding every address with a /p and reporting nodes with
+    count >= n: no tree required, just counting distinct addresses per
+    truncated /p network.  Returns (network, p, count) tuples sorted by
+    network.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1: {n}")
+    check_length(p)
+    counts: Counter[int] = Counter()
+    for value in set(addresses):
+        counts[addr.truncate(value, p)] += 1
+    return sorted(
+        (network, p, count) for network, count in counts.items() if count >= n
+    )

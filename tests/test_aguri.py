@@ -1,17 +1,15 @@
-"""Unit tests for repro.trie.aguri: densify and aguri aggregation."""
+"""Unit tests for the paper's densify (§5.2.3): density thresholds, the
+general and fixed-length dense-prefix searches, and widening."""
 
 import pytest
 
-from repro.net import addr
-from repro.trie import (
-    addresses_in_dense_prefixes,
-    aguri_aggregate,
-    build_tree,
-    compute_dense_prefixes,
-    dense_prefixes_fixed,
+from repro.core.spatial import (
     density_threshold,
-    profile,
+    general_dense_prefixes,
+    widen_dense_prefixes,
 )
+from repro.net import addr
+from tests.oracles.tree import dense_prefixes_fixed
 
 
 def p(text: str) -> int:
@@ -52,27 +50,27 @@ class TestPaperExample:
         assert dense_prefixes_fixed(self.ADDRS, 2, 126) == []
 
     def test_general_densify_finds_branch_point(self):
-        dense = compute_dense_prefixes(self.ADDRS, 2, 112)
+        dense = general_dense_prefixes(self.ADDRS, 2, 112)
         assert dense == [(p("2001:db8::"), 125, 2)]
 
     def test_widen_to_class_length(self):
-        dense = compute_dense_prefixes(self.ADDRS, 2, 112, widen=True)
+        dense = general_dense_prefixes(self.ADDRS, 2, 112, widen=True)
         assert dense == [(p("2001:db8::"), 112, 2)]
 
 
 class TestDensify:
     def test_sparse_addresses_not_reported(self):
         spread = [p("2001:db8::1"), p("2a00:1::1"), p("2400:2::1")]
-        assert compute_dense_prefixes(spread, 2, 112) == []
+        assert general_dense_prefixes(spread, 2, 112) == []
 
     def test_duplicates_do_not_inflate_density(self):
         values = [p("2001:db8::1")] * 5
-        assert compute_dense_prefixes(values, 2, 112) == []
+        assert general_dense_prefixes(values, 2, 112) == []
 
     def test_mixed_dense_and_sparse(self):
         dense_block = [p("2001:db8::") + i for i in range(8)]
         sparse = [p("2a00::1"), p("2400::9")]
-        found = compute_dense_prefixes(dense_block + sparse, 2, 112)
+        found = general_dense_prefixes(dense_block + sparse, 2, 112)
         assert len(found) == 1
         network, length, count = found[0]
         assert network == p("2001:db8::")
@@ -89,7 +87,7 @@ class TestDensify:
             base = p("2001:db8::") + (block << 16)
             values.extend([base, base + 1])
         assert len(dense_prefixes_fixed(values, 2, 112)) == 256
-        general = compute_dense_prefixes(values, 2, 112)
+        general = general_dense_prefixes(values, 2, 112)
         assert len(general) == 1
         _network, length, count = general[0]
         assert length <= 104
@@ -97,7 +95,7 @@ class TestDensify:
 
     def test_non_overlapping_output(self):
         values = [p("2001:db8::") + i for i in range(64)]
-        found = compute_dense_prefixes(values, 2, 112)
+        found = general_dense_prefixes(values, 2, 112)
         spans = [
             (network, network + (1 << (128 - length)) - 1)
             for network, length, _count in found
@@ -109,7 +107,7 @@ class TestDensify:
     def test_max_length_127_excludes_lone_128s(self):
         # With n=1 every address alone would qualify; a /128 must still
         # never be reported as a dense *prefix*.
-        found = compute_dense_prefixes([p("2001:db8::1")], 1, 128)
+        found = general_dense_prefixes([p("2001:db8::1")], 1, 128)
         assert all(length <= 127 for _n, length, _c in found)
 
 
@@ -123,66 +121,12 @@ class TestFixedPath:
         values = [p("2001:db8::") + i * 3 for i in range(50)]
         values += [p("2a00:5:6:7::") + i for i in range(10)]
         fixed = dense_prefixes_fixed(values, 4, 112)
-        general = compute_dense_prefixes(values, 4, 112, widen=True)
+        general = general_dense_prefixes(values, 4, 112, widen=True)
         assert {(n, l) for n, l, _ in fixed} == {(n, l) for n, l, _ in general}
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             dense_prefixes_fixed([], 0, 112)
-
-
-class TestAddressesInDense:
-    def test_membership_scan(self):
-        values = [p("2001:db8::") + i for i in range(4)] + [p("2a00::1")]
-        dense = dense_prefixes_fixed(values, 2, 112)
-        inside = addresses_in_dense_prefixes(values, dense)
-        assert len(inside) == 4
-        assert p("2a00::1") not in inside
-
-    def test_empty_dense_list(self):
-        assert addresses_in_dense_prefixes([1, 2, 3], []) == []
-
-
-class TestAguriAggregate:
-    def test_small_counts_roll_up(self):
-        tree = build_tree([p("2001:db8::") + i for i in range(10)])
-        # Each leaf holds 10% of the total; with a 30% threshold all the
-        # /128s roll upward and only aggregates carrying >= 30% (or the
-        # root remainder) survive.
-        aguri_aggregate(tree, 0.3)
-        entries = profile(tree)
-        assert 1 <= len(entries) < 10
-        root_network = tree.root.network
-        for prefix, count in entries:
-            if (prefix.network, prefix.length) != (root_network, tree.root.length):
-                assert count >= 3
-
-    def test_heavy_prefix_survives(self):
-        heavy = [p("2001:db8::1")] * 80
-        light = [p("2a00::") + i for i in range(20)]
-        tree = build_tree(heavy + light)
-        aguri_aggregate(tree, 0.5)
-        entries = profile(tree)
-        survivors = {str(prefix): count for prefix, count in entries}
-        assert "2001:db8::1/128" in survivors
-        assert survivors["2001:db8::1/128"] == 80
-
-    def test_total_count_preserved(self):
-        tree = build_tree([p("2001:db8::") + i for i in range(37)])
-        aguri_aggregate(tree, 0.1)
-        assert tree.total_count == 37
-
-    def test_rejects_bad_fraction(self):
-        tree = build_tree([1])
-        with pytest.raises(ValueError):
-            aguri_aggregate(tree, 0.0)
-        with pytest.raises(ValueError):
-            aguri_aggregate(tree, 1.5)
-
-    def test_empty_tree_noop(self):
-        tree = build_tree([])
-        aguri_aggregate(tree, 0.5)
-        assert tree.total_count == 0
 
 
 class TestWidenDedup:
@@ -195,8 +139,6 @@ class TestWidenDedup:
     """
 
     def test_nested_after_widening_dropped(self):
-        from repro.trie import widen_dense_prefixes
-
         container = (p("2001:db8::"), 104, 512)  # subtree total: includes below
         nested = (p("2001:db8::be00"), 120, 2)  # widens to /112 inside the /104
         result = widen_dense_prefixes([container, nested], 112)
@@ -206,7 +148,6 @@ class TestWidenDedup:
         import random
 
         from repro.net.addr import ADDRESS_BITS
-        from repro.trie import widen_dense_prefixes
 
         rng = random.Random(11)
         for _ in range(50):
@@ -227,45 +168,11 @@ class TestWidenDedup:
                 assert first_end < second_start
 
     def test_disjoint_prefixes_kept(self):
-        from repro.trie import widen_dense_prefixes
-
         disjoint = [(p("2001:db8::"), 112, 5), (p("2a00::"), 104, 9)]
         assert widen_dense_prefixes(disjoint, 112) == disjoint
 
     def test_same_slash_p_merged(self):
-        from repro.trie import widen_dense_prefixes
-
         result = widen_dense_prefixes(
             [(p("2001:db8::1000"), 120, 2), (p("2001:db8::2000"), 120, 3)], 112
         )
         assert result == [(p("2001:db8::"), 112, 5)]
-
-
-class TestAguriBoundary:
-    """Regression: the float fraction*total threshold misclassified exact
-    boundary counts (0.07 * 100 == 7.000000000000001), pushing up a node
-    that holds exactly the required share."""
-
-    def test_exact_share_kept(self):
-        heavy = [p("2001:db8::1")] * 7
-        light = [p("2a00::") + (i << 64) for i in range(93)]
-        tree = build_tree(heavy + light)
-        aguri_aggregate(tree, 0.07)
-        survivors = {str(prefix): count for prefix, count in profile(tree)}
-        assert survivors.get("2001:db8::1/128") == 7
-
-    def test_one_below_share_pushed_up(self):
-        heavy = [p("2001:db8::1")] * 6
-        light = [p("2a00::") + (i << 64) for i in range(94)]
-        tree = build_tree(heavy + light)
-        aguri_aggregate(tree, 0.07)
-        survivors = {str(prefix): count for prefix, count in profile(tree)}
-        assert "2001:db8::1/128" not in survivors
-
-    def test_tenth_of_ten(self):
-        # fraction=0.1, total=10, count=1: exactly the share, kept.
-        values = [p("2001:db8::1")] + [p("2a00::") + (i << 64) for i in range(9)]
-        tree = build_tree(values)
-        aguri_aggregate(tree, 0.1)
-        survivors = {str(prefix): count for prefix, count in profile(tree)}
-        assert survivors.get("2001:db8::1/128") == 1

@@ -8,7 +8,9 @@ metadata consistent; these tests enforce that mechanically:
 * the module doctest in ``repro.net.arpa`` runs;
 * the console entry points declared in pyproject.toml exist;
 * DESIGN.md's per-experiment index references only bench files that
-  exist, and every bench file is referenced somewhere in the docs.
+  exist, and every bench file is referenced somewhere in the docs;
+* every dotted ``repro.…`` name in README.md, DESIGN.md and
+  EXPERIMENTS.md resolves to a real module or attribute.
 """
 
 import doctest
@@ -22,6 +24,20 @@ import pytest
 import repro
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def resolve_dotted(name):
+    """Import the longest module prefix of ``name``, then getattr the rest."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            target = getattr(target, attr)
+        return target
+    raise ImportError(name)
 
 
 def iter_public_modules():
@@ -129,3 +145,17 @@ class TestDocsReferenceRealFiles:
         for name in os.listdir(examples_dir):
             if name.endswith(".py"):
                 assert name in readme, f"examples/{name} missing from README"
+
+    def test_docs_reference_only_existing_names(self):
+        import re
+
+        missing = set()
+        for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
+            with open(os.path.join(REPO_ROOT, doc)) as handle:
+                text = handle.read()
+            for name in set(re.findall(r"\brepro(?:\.\w+)+", text)):
+                try:
+                    resolve_dotted(name)
+                except (ImportError, AttributeError):
+                    missing.add(f"{doc}: {name}")
+        assert sorted(missing) == []

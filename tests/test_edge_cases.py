@@ -9,7 +9,6 @@ from repro.core.streaming import StabilityStream
 from repro.data.hitlist import read_hitlist, write_hitlist
 from repro.data.store import ObservationStore
 from repro.net import addr
-from repro.trie import build_tree, render_tree
 from repro.viz.mra_plot import MraPlot, mra_plot
 
 
@@ -75,23 +74,6 @@ class TestStreamingEdges:
         results = stream.push(1, [1])
         # Day 1's window needs day 2; nothing completes yet.
         assert results == []
-
-
-class TestRenderTreeEdges:
-    def test_min_count_filters(self):
-        tree = build_tree([p("2001:db8::1")] * 5 + [p("2a00::1")])
-        output = render_tree(tree, min_count=2)
-        assert "2001:db8::1/128" in output
-        assert "2a00::1/128" not in output
-
-    def test_counts_only_mode(self):
-        tree = build_tree([1, 2])
-        output = render_tree(tree, show_share=False)
-        assert "%" not in output.splitlines()[0]
-
-    def test_empty_tree(self):
-        output = render_tree(build_tree([]))
-        assert "prefix" in output  # just the header
 
 
 class TestTablesEdges:

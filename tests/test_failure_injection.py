@@ -11,12 +11,12 @@ import pytest
 from repro.core.census import census
 from repro.core.mra import aggregate_counts, profile
 from repro.core.population import figure3_series
+from repro.core.spatial import general_dense_prefixes
 from repro.core.temporal import classify_day, classify_week, window_series
 from repro.data import logfile
 from repro.data.store import ObservationStore
 from repro.net import addr
-from repro.trie import build_tree, compute_dense_prefixes, densify
-from repro.trie.radix import RadixTree
+from tests.oracles.tree import RadixTree, build_tree, densify
 
 
 class TestCorruptedPersistence:
@@ -95,7 +95,7 @@ class TestDegenerateBoundaries:
 
     def test_dense_prefixes_at_length_zero(self):
         # Every address is in the single /0; n=2 at p=0 requires two.
-        found = compute_dense_prefixes([1, 2], 2, 0)
+        found = general_dense_prefixes([1, 2], 2, 0)
         assert len(found) == 1
         network, length, count = found[0]
         assert length <= 127 and count == 2

@@ -100,15 +100,6 @@ class TestGeometry:
         with pytest.raises(PrefixError):
             next(p.subnets(16))
 
-    def test_child_bit(self):
-        p = Prefix("2001:db8::/32")
-        inside_left = addr.parse("2001:db8:0::1")
-        inside_right = addr.parse("2001:db8:8000::1")
-        assert p.child_bit(inside_left) == 0
-        assert p.child_bit(inside_right) == 1
-        with pytest.raises(PrefixError):
-            Prefix("::1/128").child_bit(1)
-
     def test_addresses_enumeration(self):
         p = Prefix("2001:db8::/126")
         assert len(list(p.addresses())) == 4

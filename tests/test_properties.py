@@ -11,17 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.mra import aggregate_counts, profile
+from repro.core.spatial import density_threshold, general_dense_prefixes
 from repro.core.temporal import classify_day
 from repro.data import store as obstore
 from repro.data.store import ObservationStore
 from repro.net import addr
-from repro.trie import (
-    build_tree,
-    compute_dense_prefixes,
-    dense_prefixes_fixed,
-    density_threshold,
-)
-from repro.trie.radix import RadixTree
+from tests.oracles.tree import build_tree, dense_prefixes_fixed
 
 addresses_strategy = st.integers(min_value=0, max_value=(1 << 128) - 1)
 address_sets = st.sets(addresses_strategy, min_size=0, max_size=80)
@@ -157,7 +152,7 @@ class TestDensityProperties:
 
     @given(address_sets)
     def test_general_dense_nonoverlapping(self, values):
-        dense = compute_dense_prefixes(values, 2, 112)
+        dense = general_dense_prefixes(values, 2, 112)
         spans = sorted(
             (network, network + (1 << (128 - length)) - 1)
             for network, length, _c in dense

@@ -7,17 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.census import census
+from repro.core.spatial import general_dense_prefixes
 from repro.core.streaming import stream_classify
 from repro.core.temporal import classify_day
 from repro.data import store as obstore
 from repro.data.store import ObservationStore
 from repro.net import addr
-from repro.trie import (
-    aguri_aggregate,
-    build_tree,
-    compute_dense_prefixes,
-    dense_prefixes_fixed,
-)
+from tests.oracles.tree import dense_prefixes_fixed
 
 addresses_strategy = st.integers(min_value=0, max_value=(1 << 128) - 1)
 
@@ -62,7 +58,7 @@ class TestDensifyInvariants:
     )
     @settings(max_examples=100)
     def test_dense_counts_bounded_by_input(self, values, n, p):
-        found = compute_dense_prefixes(values, n, p)
+        found = general_dense_prefixes(values, n, p)
         total_contained = sum(count for _n, _l, count in found)
         assert total_contained <= len(values)
         for _network, length, count in found:
@@ -78,16 +74,6 @@ class TestDensifyInvariants:
         low = {net for net, _l, _c in dense_prefixes_fixed(values, 2, p)}
         high = {net for net, _l, _c in dense_prefixes_fixed(values, 4, p)}
         assert high <= low
-
-    @given(
-        st.lists(addresses_strategy, min_size=1, max_size=40),
-        st.floats(min_value=0.01, max_value=1.0),
-    )
-    @settings(max_examples=100)
-    def test_aguri_conserves_total(self, values, fraction):
-        tree = build_tree(values)
-        aguri_aggregate(tree, fraction)
-        assert tree.total_count == len(values)
 
 
 class TestStreamingEquivalence:

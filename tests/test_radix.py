@@ -1,9 +1,9 @@
-"""Unit tests for repro.trie.radix: the Patricia tree."""
+"""Unit tests for the Patricia tree behind the densify oracle."""
 
 import pytest
 
 from repro.net import addr
-from repro.trie.radix import RadixTree
+from tests.oracles.tree import RadixTree
 
 
 def p(text: str) -> int:

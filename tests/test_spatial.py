@@ -2,7 +2,7 @@
 
 The load-bearing assertion is bit-identity: the vectorized general
 densify must return exactly what the tree-based reference
-(:func:`repro.trie.aguri.compute_dense_prefixes_tree`) returns, across
+(:func:`tests.oracles.tree.compute_dense_prefixes_tree`) returns, across
 randomized address sets and (n, p) classes.
 """
 
@@ -18,6 +18,7 @@ from repro.core.spatial import (
     _nearest_smaller_right,
     day_spatial_summary,
     dense_runs,
+    density_threshold,
     general_dense_prefixes,
     prefix_runs,
     sweep_spatial,
@@ -25,11 +26,13 @@ from repro.core.spatial import (
 )
 from repro.data import store as obstore
 from repro.net import addr
-from repro.trie.aguri import (
-    compute_dense_prefixes_tree,
-    dense_prefixes_fixed,
-    density_threshold,
-)
+from tests.oracles.tree import compute_dense_prefixes_tree, dense_prefixes_fixed
+
+#: (n, p) classes at the edges: the root, both sides of the hi/lo split
+#: of a 128-bit address, and full-length prefixes.
+EDGE_CLASSES = [
+    (1, 0), (2, 0), (2, 63), (2, 64), (2, 65), (2, 112), (1, 127), (1, 128), (2, 128)
+]
 
 
 def p(text: str) -> int:
@@ -47,6 +50,30 @@ def random_clustered(rng: random.Random, size: int, clusters: int) -> list:
             out.append(network | offset)
     rng.shuffle(out)
     return out[:size]
+
+
+def random_boundary(rng: random.Random) -> list:
+    """Addresses at the edges of the address space and of the hi/lo split.
+
+    Mixes ``::`` and all-ones (and small clusters next to each) with
+    clusters that straddle a multiple of 2**64, so adjacent addresses
+    differ in the ``hi`` column, the ``lo`` column, or both.
+    """
+    out = []
+    for extreme in (0, addr.MAX_ADDRESS):
+        if rng.random() < 0.5:
+            out.append(extreme)
+        if rng.random() < 0.3:
+            bits = rng.choice([1, 8, 63, 64, 65])
+            out.extend(extreme ^ rng.getrandbits(bits) for _ in range(rng.randint(1, 4)))
+    for _ in range(rng.randint(0, 4)):
+        boundary = rng.choice([1, 2, rng.getrandbits(64), (1 << 64) - 1]) << 64
+        span = rng.choice([1, 2, 16, 1 << 32, 1 << 63])
+        out.extend(
+            boundary + rng.randrange(-span, span) for _ in range(rng.randint(1, 6))
+        )
+    rng.shuffle(out)
+    return out
 
 
 class TestThresholdTable:
@@ -134,6 +161,15 @@ class TestDenseRuns:
             found, contained = dense_runs(obstore.to_array(values), n, prefix_len)
             assert found == expected
             assert contained == sum(count for _net, _len, count in expected)
+        rng = random.Random(64)
+        for _ in range(60):
+            values = random_boundary(rng)
+            array = obstore.to_array(values)
+            for n, prefix_len in EDGE_CLASSES:
+                expected = dense_prefixes_fixed(values, n, prefix_len)
+                found, contained = dense_runs(array, n, prefix_len)
+                assert found == expected, (n, prefix_len, sorted(set(values)))
+                assert contained == sum(count for _net, _len, count in expected)
 
 
 class TestGeneralDensify:
@@ -156,6 +192,17 @@ class TestGeneralDensify:
             assert got == expected, (n, prefix_len, widen, sorted(set(values))[:6])
             trials += 1
         assert trials == 120
+        rng = random.Random(6464)
+        for _ in range(60):
+            values = random_boundary(rng)
+            array = obstore.to_array(values)
+            for n, prefix_len in EDGE_CLASSES:
+                for widen in (False, True):
+                    expected = compute_dense_prefixes_tree(
+                        values, n, prefix_len, widen=widen
+                    )
+                    got = general_dense_prefixes(array, n, prefix_len, widen=widen)
+                    assert got == expected, (n, prefix_len, widen, sorted(set(values)))
 
     def test_table3_classes_on_one_set(self):
         rng = random.Random(77)

@@ -1,4 +1,4 @@
-"""Unit tests for streaming stability, aguri rendering, and CSV export."""
+"""Unit tests for streaming stability and CSV export."""
 
 import random
 
@@ -9,7 +9,6 @@ from repro.core.temporal import classify_day
 from repro.data import store as obstore
 from repro.data.store import ObservationStore
 from repro.net import addr
-from repro.trie import aguri_aggregate, build_tree, render_dense, render_tree
 from repro.viz import (
     CcdfPlot,
     mra_plot,
@@ -93,36 +92,6 @@ class TestStabilityStream:
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):
             StabilityStream(window_before=-1)
-
-
-class TestRenderTree:
-    def test_profile_rendering(self):
-        tree = build_tree(
-            [p("2001:db8::1")] * 6 + [p("2001:db8::2")] * 2 + [p("2a00::1")] * 2
-        )
-        aguri_aggregate(tree, 0.2)
-        output = render_tree(tree)
-        assert "%total" in output
-        assert "2001:db8::1/128" in output
-        lines = output.splitlines()
-        assert len(lines) >= 2
-
-    def test_indentation_reflects_nesting(self):
-        tree = build_tree([])
-        tree.add_prefix(p("2001:db8::"), 32, count=10)
-        tree.add_prefix(p("2001:db8:1::"), 48, count=5)
-        output = render_tree(tree)
-        lines = [line for line in output.splitlines()[1:]]
-        outer = next(line for line in lines if "/32" in line)
-        inner = next(line for line in lines if "/48" in line)
-        assert inner.index("2001") > outer.index("2001")
-
-    def test_render_dense(self):
-        output = render_dense([(p("2001:db8::"), 112, 5)], title="dense")
-        assert "dense" in output
-        assert "2001:db8::/112" in output
-        assert "(5 addrs)" in output
-        assert "(none)" in render_dense([])
 
 
 class TestCsvExport:

@@ -1,8 +1,8 @@
 """Unit tests for repro.core.sweep: the incremental sweep engine.
 
-The engine's contract is bit-identity with per-day ``classify_day``
-regardless of store gaps, window shape, chunking, parallelism, or
-streaming delivery; these tests pin that contract down, plus a golden
+The engine's contract is bit-identity with the per-day window rescan
+(:func:`tests.oracles.temporal.reference_classify_day`) regardless of
+store gaps, window shape, chunking, parallelism, or streaming delivery; these tests pin that contract down, plus a golden
 multi-epoch Table 2 end-to-end run on a seeded synthetic store.
 """
 
@@ -18,10 +18,11 @@ from repro.core.sweep import (
     sweep_days,
     sweep_granularities,
 )
-from repro.core.temporal import classify_day, classify_week, stability_table
+from repro.core.temporal import StabilityResult, classify_week, stability_table
 from repro.data import store as obstore
 from repro.data.logfile import load_store
 from repro.data.store import ObservationStore
+from tests.oracles.temporal import reference_classify_day
 
 
 def make_gappy_store(seed=11, num_days=60, pool=700, missing=0.25):
@@ -36,6 +37,12 @@ def make_gappy_store(seed=11, num_days=60, pool=700, missing=0.25):
         schedule[day] = addresses
         store.add_day(day, addresses)
     return store, schedule
+
+
+def oracle_day(store, day, before=7, after=7):
+    """The per-day oracle's classification, as a StabilityResult."""
+    active, gaps = reference_classify_day(store, day, before, after)
+    return StabilityResult(day, (before, after), active, gaps)
 
 
 def assert_result_equal(result, baseline):
@@ -53,7 +60,7 @@ class TestSweepMatchesClassifyDay:
         results = sweep_days(store)
         assert [r.reference_day for r in results] == store.days()
         for result in results:
-            assert_result_equal(result, classify_day(store, result.reference_day))
+            assert_result_equal(result, oracle_day(store, result.reference_day))
 
     @pytest.mark.parametrize("window", [(7, 7), (4, 4), (0, 3), (3, 0), (0, 0)])
     def test_every_window_shape(self, window):
@@ -61,7 +68,7 @@ class TestSweepMatchesClassifyDay:
         before, after = window
         for result in sweep_days(store, None, before, after):
             assert_result_equal(
-                result, classify_day(store, result.reference_day, before, after)
+                result, oracle_day(store, result.reference_day, before, after)
             )
 
     def test_requested_days_absent_from_store(self):
@@ -70,7 +77,7 @@ class TestSweepMatchesClassifyDay:
         results = sweep_days(store, days)
         assert [r.reference_day for r in results] == days
         for result in results:
-            assert_result_equal(result, classify_day(store, result.reference_day))
+            assert_result_equal(result, oracle_day(store, result.reference_day))
             if result.reference_day not in schedule:
                 assert result.active_count == 0
 
@@ -130,9 +137,9 @@ class TestSweepGranularities:
         assert set(swept) == {128, 64}
         truncated = store.truncated(64)
         for result in swept[128]:
-            assert_result_equal(result, classify_day(store, result.reference_day))
+            assert_result_equal(result, oracle_day(store, result.reference_day))
         for result in swept[64]:
-            assert_result_equal(result, classify_day(truncated, result.reference_day))
+            assert_result_equal(result, oracle_day(truncated, result.reference_day))
 
 
 class TestSweepMatchesStream:
@@ -152,7 +159,7 @@ class TestSweepMatchesStream:
             emitted.extend(stream.push_observations(observations))
         emitted.extend(stream.flush())
         for result in emitted:
-            assert_result_equal(result, classify_day(store, result.reference_day, 4, 4))
+            assert_result_equal(result, oracle_day(store, result.reference_day, 4, 4))
 
 
 class TestSweepState:
@@ -194,7 +201,7 @@ class TestWeekAndTableRebase:
         store, _ = make_gappy_store(seed=37)
         days = list(range(10, 17))
         weekly = classify_week(store, days, 3)
-        stable_sets = [classify_day(store, day).stable(3) for day in days]
+        stable_sets = [oracle_day(store, day).stable(3) for day in days]
         assert np.array_equal(weekly.stable_union, obstore.union_many(stable_sets))
         assert np.array_equal(weekly.active_union, store.union_over(days))
 
@@ -203,12 +210,12 @@ class TestWeekAndTableRebase:
         table = stability_table(
             store, "test", 20, n=3, earlier_epochs={"earlier": 5}
         )
-        daily = classify_day(store, 20)
+        daily = oracle_day(store, 20)
         assert table.daily_active == daily.active_count
         assert table.daily_stable == daily.stable_count(3)
         week_days = list(range(20, 27))
         stable_union = obstore.union_many(
-            [classify_day(store, day).stable(3) for day in week_days]
+            [oracle_day(store, day).stable(3) for day in week_days]
         )
         assert table.weekly_active == obstore.array_size(store.union_over(week_days))
         assert table.weekly_stable == obstore.array_size(stable_union)
@@ -272,7 +279,7 @@ def _golden_store():
 class TestGoldenTable2:
     """End-to-end Table 2 over three epochs of a seeded synthetic store.
 
-    The golden numbers were computed with per-day ``classify_day`` and
+    The golden numbers were computed with the per-day window rescan and
     the pre-sweep ``classify_week``; the sweep-based pipeline must
     reproduce them exactly.
     """
@@ -281,7 +288,7 @@ class TestGoldenTable2:
         store = _golden_store()
         earlier = {"6m-stable (-6m)": 280, "1y-stable (-1y)": 100}
         table = stability_table(store, "epoch-3", 465, n=3, earlier_epochs=earlier)
-        daily = classify_day(store, 465)
+        daily = oracle_day(store, 465)
         assert table.daily_active == daily.active_count
         assert table.daily_stable == daily.stable_count(3)
         golden = {

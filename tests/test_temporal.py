@@ -11,6 +11,7 @@ from repro.core.temporal import (
 )
 from repro.data import store as obstore
 from repro.data.store import ObservationStore
+from tests.oracles.temporal import reference_classify_day
 
 
 def make_store(schedule):
@@ -185,31 +186,9 @@ class TestStabilityTable:
 
 
 class TestClassifyDayRegression:
-    """The vectorized classify_day must match the original scalar-dispatch
-    implementation (``np.minimum.at``/``np.maximum.at`` over ``nonzero``)
-    bit-for-bit on randomized stores."""
-
-    @staticmethod
-    def _reference_classify_day(
-        observations, reference_day, window_before=7, window_after=7
-    ):
-        import numpy as np
-
-        active = observations.array(reference_day)
-        size = obstore.array_size(active)
-        min_day = np.full(size, reference_day, dtype=np.int64)
-        max_day = np.full(size, reference_day, dtype=np.int64)
-        for day in range(
-            reference_day - window_before, reference_day + window_after + 1
-        ):
-            if day == reference_day or day not in observations:
-                continue
-            present = obstore.member_mask(active, observations.array(day))
-            if day < reference_day:
-                np.minimum.at(min_day, np.nonzero(present)[0], day)
-            else:
-                np.maximum.at(max_day, np.nonzero(present)[0], day)
-        return active, max_day - min_day
+    """classify_day must match the original per-day window rescan
+    (``np.minimum.at``/``np.maximum.at`` over ``nonzero``) bit-for-bit on
+    randomized stores."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_original_on_random_stores(self, seed):
@@ -228,7 +207,7 @@ class TestClassifyDayRegression:
         for day in store.days():
             for window in ((7, 7), (3, 0), (0, 3)):
                 result = classify_day(store, day, *window)
-                active, gaps = self._reference_classify_day(store, day, *window)
+                active, gaps = reference_classify_day(store, day, *window)
                 assert np.array_equal(result.active, active)
                 assert result.gaps.dtype == gaps.dtype
                 assert np.array_equal(result.gaps, gaps)
