@@ -55,7 +55,7 @@ def observation_spans(
     """Compute per-address first/last/day-count over the given days.
 
     Runs on the sweep engine's grouped pass
-    (:func:`repro.core.sweep.grouped_spans`): one stable radix sort by
+    (:func:`repro.core.sweep.grouped_spans`): one stable column sort by
     (address, day) replaces the structured ``np.unique`` and the
     scalar-dispatch ``ufunc.at`` updates of the original implementation.
     """
@@ -75,6 +75,8 @@ def lifetime_histogram(
     stable population the paper's classes isolate.
     """
     table = observation_spans(observations, days)
+    # A histogram of one int64 span column, not an address set:
+    # repro-lint: ignore[R008]
     spans, counts = np.unique(table.spans, return_counts=True)
     return {int(span): int(count) for span, count in zip(spans, counts)}
 

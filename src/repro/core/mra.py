@@ -66,7 +66,7 @@ def _as_address_array(addresses: ArrayOrAddresses) -> np.ndarray:
     if isinstance(addresses, np.ndarray) and addresses.dtype == ADDRESS_DTYPE:
         if is_canonical(addresses):
             return addresses
-        return np.unique(addresses)
+        return obstore.halves_to_array(addresses["hi"], addresses["lo"])
     return obstore.to_array(addresses)
 
 

@@ -78,6 +78,8 @@ class PopulationCcdf:
         """The (population, CCDF proportion) step points for plotting."""
         if self.num_aggregates == 0:
             return []
+        # CCDF steps of one integer population column, not an address set:
+        # repro-lint: ignore[R008]
         unique, first_index = np.unique(self.populations, return_index=True)
         total = self.num_aggregates
         return [

@@ -13,9 +13,10 @@ slides — so the stream can run over unbounded log sequences.
 
 Classification rides on the sweep engine's incremental window state
 (:class:`repro.core.sweep.SweepState`): the live window's observations
-are kept merged and sorted by (address, day), days entering and leaving
-as the window slides, so emitting a day costs two vectorized binary
-searches instead of rebuilding an :class:`ObservationStore` and
+are kept merged and sorted by (address, day) — a new day is merged in
+with one 128-bit ``searchsorted`` and expired days are filtered out, so
+the window is never re-sorted — and emitting a day costs two vectorized
+binary searches instead of rebuilding an :class:`ObservationStore` and
 re-scanning all window days (the pre-sweep implementation did both for
 every emitted day).  Pending days wait in a ``deque``, so draining is
 O(1) per emission rather than an O(n) list shift.

@@ -16,7 +16,7 @@ engine:
 
 1. concatenates the window days' ``(hi, lo)`` address columns with a
    parallel day column (each day array touched once);
-2. sorts the observations by ``(address, day)`` with one stable radix
+2. sorts the observations by ``(address, day)`` with one stable column
    ``lexsort`` — no structured-dtype comparisons anywhere on the hot
    path;
 3. assigns run ids to equal-address runs and builds integer keys
@@ -39,7 +39,10 @@ ranges and, via :func:`sweep_granularities`, across prefix granularities
 :class:`SweepState` is the engine's incremental form for streaming: a
 window state that days enter (``push_day``) and leave (``evict_before``),
 holding the live window's observations merged and sorted so any buffered
-day can be classified without rebuilding a store.
+day can be classified without rebuilding a store.  It never sorts: a
+pushed day is merged in with one 128-bit ``searchsorted``
+(:func:`repro.data.store.search_sorted`) and eviction is an
+order-preserving filter.
 :class:`repro.core.streaming.StabilityStream` is built on it.
 """
 
@@ -50,11 +53,13 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.mra import _as_address_array
 from repro.core.temporal import (
     DEFAULT_WINDOW_AFTER,
     DEFAULT_WINDOW_BEFORE,
     StabilityResult,
 )
+from repro.data import store as obstore
 from repro.data.store import ADDRESS_DTYPE, ObservationStore
 from repro.runtime.checkpoint import SweepCheckpoint, sweep_signature
 from repro.runtime.pool import PoolConfig, RunReport, resolve_jobs, run_supervised
@@ -67,43 +72,37 @@ DEFAULT_CHUNK_DAYS = 64
 class _SortedWindow:
     """Observations of several days, sorted by (address, day).
 
-    ``hi``/``lo``/``day`` are the sorted columns; ``order`` is the
-    permutation that produced them (for scattering results back);
-    ``gid`` numbers equal-address runs; ``key = gid * scale + day-offset``
-    lets per-address day ranges be located with global ``searchsorted``.
+    ``hi``/``lo``/``day`` are the sorted columns; ``gid`` numbers
+    equal-address runs; ``key = gid * scale + day-offset`` lets
+    per-address day ranges be located with global ``searchsorted``.
+    Building one from sorted columns is O(n): no sort.
 
-    Precondition: within the *input* columns, the observations of any one
-    address must already be in ascending day order (true whenever whole
-    day arrays are concatenated chronologically, since ``lexsort`` is
-    stable).  ``margin`` must be at least ``before + after + 1`` of any
-    window later queried, so that out-of-range query keys cannot cross
-    into a neighbouring address's key range.
+    ``margin`` must be at least ``before + after + 1`` of any window
+    later queried, so that out-of-range query keys cannot cross into a
+    neighbouring address's key range.
     """
 
-    __slots__ = ("order", "hi", "lo", "day", "gid", "key", "scale", "offset")
+    __slots__ = ("hi", "lo", "day", "gid", "key", "scale", "offset")
 
     def __init__(
         self, hi: np.ndarray, lo: np.ndarray, day: np.ndarray, margin: int
     ) -> None:
-        order = np.lexsort((lo, hi))
-        self.order = order
-        self.hi = hi[order]
-        self.lo = lo[order]
-        sday = np.asarray(day, dtype=np.int64)[order]
-        self.day = sday
-        n = sday.shape[0]
+        self.hi = hi
+        self.lo = lo
+        self.day = day
+        n = day.shape[0]
         boundary = np.empty(n, dtype=bool)
         boundary[0] = True
-        boundary[1:] = (self.hi[1:] != self.hi[:-1]) | (self.lo[1:] != self.lo[:-1])
+        boundary[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
         self.gid = np.cumsum(boundary, dtype=np.int64) - 1
-        self.offset = int(sday.min())
-        span = int(sday.max()) - self.offset + 1
+        self.offset = int(day.min())
+        span = int(day.max()) - self.offset + 1
         self.scale = span + int(margin)
         if (int(self.gid[-1]) + 1) * self.scale >= 2**62:
             raise ValueError(
                 "day span too large for sweep keys; reduce chunk_days"
             )
-        self.key = self.gid * self.scale + (sday - self.offset)
+        self.key = self.gid * self.scale + (day - self.offset)
 
     def extremes(
         self,
@@ -144,7 +143,7 @@ def grouped_spans(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-address (addresses, first, last, days_seen) over day arrays.
 
-    The sweep engine's grouped pass without a window: one stable radix
+    The sweep engine's grouped pass without a window: one stable column
     sort by (address, day) instead of a structured ``np.unique`` plus
     scalar-dispatch ``ufunc.at`` updates.  Backs
     :func:`repro.core.churn.observation_spans`.
@@ -201,7 +200,11 @@ def _sweep_chunk(
     if total == 0:
         return [(day, np.empty(0, dtype=np.int64)) for day in ref_days]
     hi, lo, day_col = _concat_columns(arrays, window_days)
-    window = _SortedWindow(hi, lo, day_col, margin=window_before + window_after + 1)
+    # Stable, so each address's rows keep their chronological order.
+    order = np.lexsort((lo, hi))
+    window = _SortedWindow(
+        hi[order], lo[order], day_col[order], margin=window_before + window_after + 1
+    )
     # Mark which sorted positions belong to reference days (boundary days
     # are context only — their own windows extend outside this chunk).
     span = int(window.day.max()) - window.offset + 1
@@ -214,7 +217,7 @@ def _sweep_chunk(
     if qpos.shape[0]:
         qday = window.day[qpos]
         first, last = window.extremes(qpos, qday - window_before, qday + window_after)
-        gaps_all[window.order[qpos]] = last - first
+        gaps_all[order[qpos]] = last - first
     starts = np.concatenate([[0], np.cumsum(sizes)])
     day_index = {day: i for i, day in enumerate(window_days)}
     out: List[Tuple[int, np.ndarray]] = []
@@ -445,10 +448,11 @@ class SweepState:
     :meth:`evict_before`; :meth:`classify` answers for any buffered
     reference day, bit-identical to :func:`sweep_days` over a store
     holding the same days.  The buffered observations are kept merged
-    and sorted by (address, day) — consolidation runs at most once per
-    push, one stable radix sort over the live window, replacing the
-    per-emission store rebuild and O(window) membership rescans of the
-    pre-sweep streaming classifier.
+    and sorted by (address, day) incrementally: a pushed day is the
+    latest, so its sorted rows slot in after every equal address with
+    one 128-bit ``searchsorted``, and eviction is an order-preserving
+    day-mask filter.  Run ids and keys are rebuilt in O(n) at most once
+    per change; nothing is ever re-sorted.
     """
 
     def __init__(
@@ -460,44 +464,58 @@ class SweepState:
             raise ValueError("window spans must be non-negative")
         self.window_before = window_before
         self.window_after = window_after
-        self._segments: "deque[Tuple[int, np.ndarray]]" = deque()
+        self._days: "deque[int]" = deque()
+        self._hi = np.empty(0, dtype=np.uint64)
+        self._lo = np.empty(0, dtype=np.uint64)
+        self._day = np.empty(0, dtype=np.int64)
         self._window: Optional[_SortedWindow] = None
 
     @property
     def days_held(self) -> int:
         """Number of days currently buffered."""
-        return len(self._segments)
+        return len(self._days)
 
     def push_day(self, day: int, addresses: np.ndarray) -> None:
         """Add one day's sorted address array to the live window."""
         day = int(day)
-        if self._segments and day <= self._segments[-1][0]:
+        if self._days and day <= self._days[-1]:
             raise ValueError(
                 f"days must be pushed in increasing order: {day} after "
-                f"{self._segments[-1][0]}"
+                f"{self._days[-1]}"
             )
-        self._segments.append((day, addresses))
+        self._days.append(day)
+        addresses = _as_address_array(addresses)
+        if addresses.shape[0] == 0:
+            return
+        # Equal addresses already held are from earlier days: insert after.
+        slots = obstore.search_sorted(
+            self._hi, self._lo, addresses["hi"], addresses["lo"], side="right"
+        )
+        self._hi = np.insert(self._hi, slots, addresses["hi"])
+        self._lo = np.insert(self._lo, slots, addresses["lo"])
+        self._day = np.insert(self._day, slots, day)
         self._window = None
 
     def evict_before(self, day: int) -> None:
         """Drop buffered days earlier than ``day`` from the window."""
         evicted = False
-        while self._segments and self._segments[0][0] < day:
-            self._segments.popleft()
+        while self._days and self._days[0] < day:
+            self._days.popleft()
             evicted = True
         if evicted:
+            keep = self._day >= day
+            self._hi, self._lo, self._day = (
+                self._hi[keep], self._lo[keep], self._day[keep]
+            )
             self._window = None
 
     def _sorted_window(self) -> Optional[_SortedWindow]:
-        if self._window is None:
-            arrays = [array for _, array in self._segments]
-            if sum(array.shape[0] for array in arrays) == 0:
-                return None
-            hi, lo, day = _concat_columns(
-                arrays, [day for day, _ in self._segments]
-            )
+        if self._window is None and self._day.shape[0]:
             self._window = _SortedWindow(
-                hi, lo, day, margin=self.window_before + self.window_after + 1
+                self._hi,
+                self._lo,
+                self._day,
+                margin=self.window_before + self.window_after + 1,
             )
         return self._window
 

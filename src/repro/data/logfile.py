@@ -50,7 +50,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.store import DailyObservations, ObservationStore
+from repro.data.store import DailyObservations, ObservationStore, canonical_columns
 from repro.net import addr, batchparse
 from repro.runtime.pool import PoolConfig, RunReport, supervised_map
 from repro.runtime.quarantine import (
@@ -110,19 +110,13 @@ def write_daily_log_arrays(
     """
     hi = np.ascontiguousarray(hi, dtype=np.uint64)
     lo = np.ascontiguousarray(lo, dtype=np.uint64)
-    from repro.data import store as obstore
-
-    entries = np.empty(hi.shape[0], dtype=obstore.ADDRESS_DTYPE)
-    entries["hi"] = hi
-    entries["lo"] = lo
-    unique, inverse = np.unique(entries, return_inverse=True)
-    if hits is None:
-        merged_hits = np.zeros(unique.shape[0], dtype=np.uint64)
-        np.add.at(merged_hits, inverse, np.uint64(1))
-    else:
-        merged_hits = np.zeros(unique.shape[0], dtype=np.uint64)
-        np.add.at(merged_hits, inverse, np.asarray(hits, dtype=np.uint64))
-    texts = batchparse.format_batch(unique["hi"], unique["lo"])
+    counts = (
+        np.ones(hi.shape[0], dtype=np.uint64)
+        if hits is None
+        else np.asarray(hits, dtype=np.uint64)
+    )
+    hi, lo, merged_hits = canonical_columns(hi, lo, counts)
+    texts = batchparse.format_batch(hi, lo)
     lines = [f"{text} {int(h)}\n" for text, h in zip(texts, merged_hits)]
     with open(path, "w", encoding="ascii") as handle:
         handle.write(f"# repro aggregated log day={day}\n")
@@ -447,25 +441,10 @@ def _parse_log_bytes(
             return (day, *empty[1:])
 
     # --- merge duplicates, sort ---
-    # Logs written by save_store are already sorted and unique; detect
-    # that with a few vectorized passes and skip the O(n log n) sort.
-    if hi.shape[0] > 1:
-        increasing = (hi[1:] > hi[:-1]) | ((hi[1:] == hi[:-1]) & (lo[1:] > lo[:-1]))
-        already_sorted = bool(increasing.all())
-    else:
-        already_sorted = True
-    if already_sorted:
-        return day, hi, lo, hits
-
-    from repro.data import store as obstore
-
-    entries = np.empty(hi.shape[0], dtype=obstore.ADDRESS_DTYPE)
-    entries["hi"] = hi
-    entries["lo"] = lo
-    unique, inverse = np.unique(entries, return_inverse=True)
-    summed = np.zeros(unique.shape[0], dtype=np.uint64)
-    np.add.at(summed, inverse, hits)
-    return day, unique["hi"].copy(), unique["lo"].copy(), summed
+    # Logs written by save_store are already sorted and unique; the merge
+    # kernel detects that with a few vectorized passes and skips its sort.
+    hi, lo, merged_hits = canonical_columns(hi, lo, hits)
+    return day, hi, lo, merged_hits
 
 
 def read_daily_log_arrays(

@@ -6,10 +6,13 @@ column-oriented store the temporal classifier runs over.
 
 Addresses are held as numpy structured arrays with two unsigned 64-bit
 columns ``(hi, lo)`` — the high and low halves of the 128-bit address —
-sorted lexicographically and deduplicated.  numpy's ``intersect1d`` /
-``union1d`` / ``isin`` then give the per-day set algebra in vectorized form,
-which is what makes window-based stability analysis over millions of
-addresses per day practical in pure Python.
+sorted lexicographically and deduplicated.  The per-day set algebra
+(truncation, union, intersection, difference, membership, hit merges) runs
+on those two columns through a few sort-aware kernels
+(:func:`canonical_columns`, :func:`search_sorted`): sorted input skips the
+sort, unsorted input takes one column ``lexsort``, and lookups are numeric
+``searchsorted`` calls — never a structured-dtype ``unique`` /
+``intersect1d`` / ``union1d``, whose void comparisons cost 10-100x more.
 
 Days are plain integers (day numbers); use any epoch you like, as the
 classifiers only ever take differences.  :func:`day_number` converts ISO
@@ -19,7 +22,7 @@ dates for convenience.
 from __future__ import annotations
 
 import datetime
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, overload
 
 import numpy as np
 
@@ -49,26 +52,120 @@ def day_date(day: int) -> datetime.date:
     return _EPOCH + datetime.timedelta(days=int(day))
 
 
-def _raw_from_ints(addresses: Iterable[int]) -> np.ndarray:
-    """Bulk-convert integer addresses to an (unsorted) structured array."""
-    hi, lo = batchparse.ints_to_halves(addresses)
-    raw = np.empty(hi.shape[0], dtype=ADDRESS_DTYPE)
-    raw["hi"] = hi
-    raw["lo"] = lo
-    return raw
+# ---------------------------------------------------------------------------
+# Column kernels: set algebra on the (hi, lo) uint64 columns.
+# ---------------------------------------------------------------------------
+
+
+def _pack(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Interleave uint64 halves into a structured address array."""
+    array = np.empty(np.shape(hi)[0], dtype=ADDRESS_DTYPE)
+    array["hi"] = hi
+    array["lo"] = lo
+    return array
+
+
+def _run_starts(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """First row of every run of equal addresses in sorted columns."""
+    boundary = np.empty(hi.shape[0], dtype=bool)
+    boundary[:1] = True
+    np.not_equal(hi[1:], hi[:-1], out=boundary[1:])
+    boundary[1:] |= lo[1:] != lo[:-1]
+    return np.flatnonzero(boundary)
+
+
+@overload
+def canonical_columns(
+    hi: np.ndarray, lo: np.ndarray, hits: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]: ...
+
+
+@overload
+def canonical_columns(
+    hi: np.ndarray, lo: np.ndarray, hits: None = None
+) -> Tuple[np.ndarray, np.ndarray, None]: ...
+
+
+def canonical_columns(
+    hi: np.ndarray, lo: np.ndarray, hits: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Sort ``(hi, lo[, hits])`` columns by address and merge duplicates.
+
+    The one sort-and-dedupe kernel: columns already in non-decreasing
+    order (sorted days, truncations of sorted days) skip the sort, and
+    the rest take one stable column ``lexsort`` instead of a
+    structured-dtype sort.  Equal-address runs keep their first row and,
+    with ``hits``, the uint64 sum of the run's hits (wrapping like
+    ``np.add.at``).  Returns the inputs themselves when they are already
+    strictly increasing.
+    """
+    if hi.shape[0] > 1:
+        ascending = (hi[1:] > hi[:-1]) | ((hi[1:] == hi[:-1]) & (lo[1:] >= lo[:-1]))
+        if not ascending.all():
+            order = np.lexsort((lo, hi))
+            hi, lo = hi[order], lo[order]
+            if hits is not None:
+                hits = hits[order]
+    starts = _run_starts(hi, lo)
+    if starts.shape[0] == hi.shape[0]:
+        return hi, lo, hits
+    summed = None if hits is None else np.add.reduceat(hits, starts)
+    return hi[starts], lo[starts], summed
+
+
+def search_sorted(
+    hi: np.ndarray,
+    lo: np.ndarray,
+    query_hi: np.ndarray,
+    query_lo: np.ndarray,
+    side: str = "left",
+) -> np.ndarray:
+    """``np.searchsorted`` for 128-bit keys held as uint64 column pairs.
+
+    ``hi``/``lo`` must be sorted by address (duplicates allowed).  One
+    numeric ``searchsorted`` per side brackets each query's equal-``hi``
+    run; a vectorized binary search on ``lo`` then narrows only the
+    queries whose bracket is non-empty, for as many rounds as the
+    longest such run needs.
+    """
+    left = np.searchsorted(hi, query_hi, side="left")
+    right = np.searchsorted(hi, query_hi, side="right")
+    todo = np.flatnonzero(left < right)
+    while todo.shape[0]:
+        low, high = left[todo], right[todo]
+        mid = (low + high) // 2
+        if side == "left":
+            step = lo[mid] < query_lo[todo]
+        else:
+            step = lo[mid] <= query_lo[todo]
+        low = np.where(step, mid + 1, low)
+        high = np.where(step, high, mid)
+        left[todo] = low
+        right[todo] = high
+        todo = todo[low < high]
+    return left
+
+
+def _merged(
+    hi: np.ndarray, lo: np.ndarray, hits: Optional[np.ndarray]
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """A day's sorted unique address array and its summed hit counts."""
+    if hits is not None and hits.shape[0] != np.shape(hi)[0]:
+        raise ValueError("hits must parallel addresses")
+    hi, lo, hits = canonical_columns(
+        np.asarray(hi, dtype=np.uint64), np.asarray(lo, dtype=np.uint64), hits
+    )
+    return _pack(hi, lo), hits
 
 
 def to_array(addresses: Iterable[int]) -> np.ndarray:
     """Build a sorted, deduplicated address array from integer addresses."""
-    return np.unique(_raw_from_ints(addresses))
+    return halves_to_array(*batchparse.ints_to_halves(addresses))
 
 
 def halves_to_array(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """Build a sorted, deduplicated address array from uint64 halves."""
-    raw = np.empty(np.shape(hi)[0], dtype=ADDRESS_DTYPE)
-    raw["hi"] = hi
-    raw["lo"] = lo
-    return np.unique(raw)
+    return _merged(hi, lo, None)[0]
 
 
 def from_array(array: np.ndarray) -> List[int]:
@@ -83,37 +180,41 @@ def array_size(array: np.ndarray) -> int:
 
 def intersect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Set intersection of two sorted address arrays."""
-    return np.intersect1d(a, b, assume_unique=True)
+    if array_size(a) > array_size(b):
+        a, b = b, a
+    return a[member_mask(a, b)]
 
 
 def union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Set union of two sorted address arrays."""
-    return np.union1d(a, b)
+    return union_many([a, b])
 
 
 def difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Addresses in ``a`` but not in ``b``."""
-    return np.setdiff1d(a, b, assume_unique=True)
+    return a[~member_mask(a, b)]
 
 
 def member_mask(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Boolean mask over ``a``: which elements also appear in ``b``.
 
-    Both arrays must be sorted and unique; uses ``searchsorted`` rather
-    than ``np.isin`` because structured ``isin`` falls back to slow paths.
+    ``b`` must be sorted and unique (``a`` sorted makes the search
+    faster but is not required).
     """
     if array_size(b) == 0:
         return np.zeros(array_size(a), dtype=bool)
-    positions = np.searchsorted(b, a)
-    positions = np.clip(positions, 0, array_size(b) - 1)
-    return b[positions] == a
+    hi, lo = b["hi"], b["lo"]
+    positions = search_sorted(hi, lo, a["hi"], a["lo"])
+    positions = np.minimum(positions, array_size(b) - 1)
+    return (hi[positions] == a["hi"]) & (lo[positions] == a["lo"])
 
 
 def union_many(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """Union of any number of address arrays (empty input gives empty set)."""
     if not arrays:
         return np.empty(0, dtype=ADDRESS_DTYPE)
-    return np.unique(np.concatenate(arrays))
+    merged = np.concatenate(arrays)
+    return halves_to_array(merged["hi"], merged["lo"])
 
 
 def truncate_array(array: np.ndarray, prefix_len: int) -> np.ndarray:
@@ -121,26 +222,27 @@ def truncate_array(array: np.ndarray, prefix_len: int) -> np.ndarray:
 
     Truncating to /64 reduces the problem to distinct ``hi`` values with
     ``lo`` zero — the "/64 prefixes" the paper tracks alongside full
-    addresses.
+    addresses.  Truncation keeps sorted input sorted, so a sorted array
+    costs one mask and one adjacent-run dedupe.
     """
     if not 0 <= prefix_len <= 128:
         raise ValueError(f"prefix length out of range: {prefix_len}")
-    result = array.copy()
+    hi, lo = array["hi"], array["lo"]
     if prefix_len <= 64:
         if prefix_len == 0:
             hi_mask = np.uint64(0)
         else:
             hi_mask = np.uint64(((1 << prefix_len) - 1) << (64 - prefix_len))
-        result["hi"] = result["hi"] & hi_mask
-        result["lo"] = 0
+        hi = hi & hi_mask
+        lo = np.zeros(hi.shape[0], dtype=np.uint64)
     else:
         low_bits = prefix_len - 64
         if low_bits == 64:
             lo_mask = np.uint64(0xFFFFFFFFFFFFFFFF)
         else:
             lo_mask = np.uint64(((1 << low_bits) - 1) << (64 - low_bits))
-        result["lo"] = result["lo"] & lo_mask
-    return np.unique(result)
+        lo = lo & lo_mask
+    return halves_to_array(hi, lo)
 
 
 class DailyObservations:
@@ -157,19 +259,9 @@ class DailyObservations:
         hits: Optional[Iterable[int]] = None,
     ) -> None:
         self.day = int(day)
-        raw = _raw_from_ints(addresses)
-        if hits is None:
-            self.addresses = np.unique(raw)
-            self.hits = None
-        else:
-            hit_list = np.asarray(list(hits), dtype=np.uint64)
-            if hit_list.shape[0] != raw.shape[0]:
-                raise ValueError("hits must parallel addresses")
-            unique, inverse = np.unique(raw, return_inverse=True)
-            summed = np.zeros(unique.shape[0], dtype=np.uint64)
-            np.add.at(summed, inverse, hit_list)
-            self.addresses = unique
-            self.hits = summed
+        hi, lo = batchparse.ints_to_halves(addresses)
+        hit_list = None if hits is None else np.asarray(list(hits), dtype=np.uint64)
+        self.addresses, self.hits = _merged(hi, lo, hit_list)
 
     @classmethod
     def from_array(cls, day: int, array: np.ndarray) -> "DailyObservations":
@@ -200,29 +292,13 @@ class DailyObservations:
         instance = cls.__new__(cls)
         instance.day = int(day)
         if merged:
-            array = np.empty(np.shape(hi)[0], dtype=ADDRESS_DTYPE)
-            array["hi"] = hi
-            array["lo"] = lo
-            instance.addresses = array
+            instance.addresses = _pack(hi, lo)
             instance.hits = (
                 None if hits is None else np.asarray(hits, dtype=np.uint64)
             )
             return instance
-        raw = np.empty(np.shape(hi)[0], dtype=ADDRESS_DTYPE)
-        raw["hi"] = hi
-        raw["lo"] = lo
-        if hits is None:
-            instance.addresses = np.unique(raw)
-            instance.hits = None
-            return instance
-        hit_array = np.asarray(hits, dtype=np.uint64)
-        if hit_array.shape[0] != raw.shape[0]:
-            raise ValueError("hits must parallel addresses")
-        unique, inverse = np.unique(raw, return_inverse=True)
-        summed = np.zeros(unique.shape[0], dtype=np.uint64)
-        np.add.at(summed, inverse, hit_array)
-        instance.addresses = unique
-        instance.hits = summed
+        hit_array = None if hits is None else np.asarray(hits, dtype=np.uint64)
+        instance.addresses, instance.hits = _merged(hi, lo, hit_array)
         return instance
 
     def __len__(self) -> int:
@@ -322,10 +398,7 @@ class ObservationStore:
             for day in days:
                 hi = data[f"hi_{day}"]
                 lo = data[f"lo_{day}"]
-                array = np.empty(hi.shape[0], dtype=ADDRESS_DTYPE)
-                array["hi"] = hi
-                array["lo"] = lo
-                observations = DailyObservations.from_array(day, array)
+                observations = DailyObservations.from_array(day, _pack(hi, lo))
                 hits_key = f"hits_{day}"
                 if hits_key in data.files:
                     observations.hits = data[hits_key]

@@ -1,15 +1,17 @@
 """Reference temporal engine: the per-day (−7d,+7d) window scan (§5.1).
 
 The test oracle for :mod:`repro.core.sweep`.  For each address active on
-the reference day it re-scans every window day with a sorted-array
-membership test and keeps the earliest and latest day the address was
-seen, using scalar-dispatch ``np.minimum.at``/``np.maximum.at`` updates;
+the reference day it re-scans every window day with the structured-dtype
+membership test of :mod:`tests.oracles.setops` and keeps the earliest and
+latest day the address was seen, using scalar-dispatch
+``np.minimum.at``/``np.maximum.at`` updates;
 the gap ``latest - earliest`` is the stability witness.
 """
 
 import numpy as np
 
 from repro.data import store as obstore
+from tests.oracles import setops
 
 
 def reference_classify_day(
@@ -25,7 +27,7 @@ def reference_classify_day(
     ):
         if day == reference_day or day not in observations:
             continue
-        present = obstore.member_mask(active, observations.array(day))
+        present = setops.member_mask(active, observations.array(day))
         if day < reference_day:
             np.minimum.at(min_day, np.nonzero(present)[0], day)
         else:

@@ -12,6 +12,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 CORE = "src/repro/core/example.py"
 SIM = "src/repro/sim/example.py"
+DATA = "src/repro/data/example.py"
 OTHER = "src/repro/viz/example.py"
 
 
@@ -307,6 +308,59 @@ class TestR007SwallowedFault:
         assert main(["--explain", "R007"]) == 0
         out = capsys.readouterr().out
         assert "Invariant:" in out and "quarantine" in out
+
+
+class TestR008SetRoutine:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "np.unique(raw)",
+            "np.unique(entries, return_inverse=True)",
+            "np.intersect1d(a, b, assume_unique=True)",
+            "np.union1d(a, b)",
+            "np.setdiff1d(a, b, assume_unique=True)",
+            "numpy.isin(a, b)",
+        ],
+    )
+    def test_set_routines_trip_in_core_and_data(self, call):
+        assert ids(f"out = {call}\n", path=CORE) == ["R008"]
+        assert ids(f"out = {call}\n", path=DATA) == ["R008"]
+
+    def test_parent_store_truncation_trips(self):
+        # The structured-dtype truncation this rule was written against.
+        source = """
+            def truncate_array(array, prefix_len):
+                result = array.copy()
+                result["lo"] = result["lo"] & lo_mask
+                return np.unique(result)
+        """
+        assert ids(source, path=DATA) == ["R008"]
+
+    def test_rule_is_scoped_to_core_and_data(self):
+        assert ids("out = np.unique(values)\n", path=OTHER) == []
+        assert ids("out = np.unique(values)\n", path=SIM) == []
+
+    def test_kernels_and_other_numpy_calls_pass(self):
+        source = """
+            order = np.lexsort((lo, hi))
+            sums = np.add.reduceat(hits, starts)
+            where = np.searchsorted(hi, query_hi)
+            merged = obstore.union_many(arrays)
+            values = table.unique()
+        """
+        assert ids(source, path=CORE) == []
+
+    def test_justified_ignore_suppresses(self):
+        source = (
+            "# One uint64 column of MAC values, not an address set.\n"
+            "n = np.unique(macs).shape[0]  # repro-lint: ignore[R008]\n"
+        )
+        assert ids(source, path=CORE) == []
+
+    def test_explain_has_rationale(self, capsys):
+        assert main(["--explain", "R008"]) == 0
+        out = capsys.readouterr().out
+        assert "Invariant:" in out and "canonical_columns" in out
 
 
 class TestSuppression:

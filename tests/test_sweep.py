@@ -14,6 +14,8 @@ import pytest
 from repro.core.streaming import StabilityStream, stream_classify
 from repro.core.sweep import (
     SweepState,
+    _concat_columns,
+    _SortedWindow,
     grouped_spans,
     sweep_days,
     sweep_granularities,
@@ -194,6 +196,60 @@ class TestSweepState:
         state.push_day(1, obstore.to_array([7]))
         assert state.classify(0).active_count == 0
         assert state.classify(1).gaps.tolist() == [0]
+
+    def test_incremental_window_equals_fresh_rebuild(self):
+        """After every push and eviction the merged window is exactly the
+        sorted rebuild of the held days (gaps, empty days, an evicted
+        address that returns, addresses straddling 2**64)."""
+        straddle = [(1 << 64) - 1, 1 << 64, (1 << 64) + 1]
+        days = {
+            0: [5, 9, (1 << 128) - 1] + straddle,
+            1: [],
+            2: [9, 1 << 64],
+            5: [5, 7, 1 << 64],
+            6: [],
+            9: [5, 9, 11, (1 << 64) - 1],
+            10: [0, 5],
+            14: [5, 7, 9, (1 << 128) - 1],
+            15: [],
+            21: [9, 0],
+        }
+        state = SweepState(3, 3)
+        margin = 3 + 3 + 1
+        held = []
+
+        def assert_matches_rebuild():
+            arrays = [array for day, array in held if array.shape[0]]
+            window = state._sorted_window()
+            if not arrays:
+                assert window is None
+                return
+            hi, lo, day = _concat_columns(
+                arrays, [day for day, array in held if array.shape[0]]
+            )
+            order = np.lexsort((lo, hi))
+            fresh = _SortedWindow(hi[order], lo[order], day[order], margin)
+            for name in ("hi", "lo", "day", "gid", "key"):
+                got, want = getattr(window, name), getattr(fresh, name)
+                assert got.dtype == want.dtype, name
+                assert got.tolist() == want.tolist(), name
+            assert (window.scale, window.offset) == (fresh.scale, fresh.offset)
+
+        for day, values in days.items():
+            array = obstore.to_array(values)
+            state.push_day(day, array)
+            held.append((day, array))
+            assert_matches_rebuild()
+            state.evict_before(day - 4)
+            held = [(d, a) for d, a in held if d >= day - 4]
+            assert state.days_held == len(held)
+            assert_matches_rebuild()
+            if day == 10:
+                # Day 5, the only one holding address 7, is gone...
+                assert 7 not in state._sorted_window().lo.tolist()
+            if day == 14:
+                # ...and address 7 comes back.
+                assert 7 in obstore.from_array(state.classify(14).active)
 
 
 class TestWeekAndTableRebase:
