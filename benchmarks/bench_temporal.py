@@ -17,7 +17,10 @@ are non-trivial):
   day (the online path, including its flush tail).
 
 All sweep and stream outputs are asserted bit-identical to the per-day
-baseline before any speedup is reported.
+baseline before any speedup is reported.  ``peak_rss_mb`` records the
+process's high-water resident set after building the store, after the
+serial sweep (which runs first, so its entry is the sweep's own peak)
+and at the end (including reaped worker processes).
 
 Usage::
 
@@ -36,6 +39,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import sys
 import time
 from typing import Dict, List, Optional, Tuple
@@ -114,15 +118,21 @@ def _assert_identical(
         )
 
 
+def _peak_rss_mb(who: int = resource.RUSAGE_SELF) -> float:
+    return round(resource.getrusage(who).ru_maxrss / 1024.0, 1)
+
+
 def run_benchmark(days: int, addrs_per_day: int, jobs: int, seed: int) -> Dict:
     store = build_synthetic_store(days, addrs_per_day, seed)
     day_list = store.days()
-    results: Dict[str, float] = {}
+    results: Dict[str, float] = {"per_day": 0.0}  # keeps the record's key order
+    peak = {"store": _peak_rss_mb()}
 
+    results["sweep_serial"], swept = _timed(lambda: sweep_days(store))
+    peak["sweep_serial"] = _peak_rss_mb()
     results["per_day"], per_day = _timed(
         lambda: [_per_day(store, day) for day in day_list]
     )
-    results["sweep_serial"], swept = _timed(lambda: sweep_days(store))
     results["sweep_jobs"], swept_jobs = _timed(lambda: sweep_days(store, jobs=jobs))
     results["sweep_both_granularities"], both = _timed(
         lambda: sweep_granularities(store, [128, 64], jobs=jobs)
@@ -137,6 +147,10 @@ def run_benchmark(days: int, addrs_per_day: int, jobs: int, seed: int) -> Dict:
         return emitted
 
     results["stream"], streamed = _timed(run_stream)
+
+    peak["process"] = max(
+        _peak_rss_mb(), _peak_rss_mb(resource.RUSAGE_CHILDREN)
+    )
 
     _assert_identical("sweep_serial", per_day, swept)
     _assert_identical("sweep_jobs", per_day, swept_jobs)
@@ -162,6 +176,7 @@ def run_benchmark(days: int, addrs_per_day: int, jobs: int, seed: int) -> Dict:
         },
         "seconds": {k: round(v, 4) for k, v in results.items()},
         "speedups": {k: round(v, 2) for k, v in speedups.items()},
+        "peak_rss_mb": peak,
         "verified": "bit-identical to the per-day window rescan",
         "targets": {
             "sweep_vs_per_day >= 5x": round(speedups["sweep_vs_per_day"], 2),

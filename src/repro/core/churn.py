@@ -55,8 +55,8 @@ def observation_spans(
     """Compute per-address first/last/day-count over the given days.
 
     Runs on the sweep engine's grouped pass
-    (:func:`repro.core.sweep.grouped_spans`): one stable column sort by
-    (address, day) replaces the structured ``np.unique`` and the
+    (:func:`repro.core.sweep.grouped_spans`): one numeric sort of int64
+    (address id, day) keys replaces the structured ``np.unique`` and the
     scalar-dispatch ``ufunc.at`` updates of the original implementation.
     """
     from repro.core.sweep import grouped_spans

@@ -16,18 +16,22 @@ engine:
 
 1. concatenates the window days' ``(hi, lo)`` address columns with a
    parallel day column (each day array touched once);
-2. sorts the observations by ``(address, day)`` with one stable column
-   ``lexsort`` — no structured-dtype comparisons anywhere on the hot
-   path;
-3. assigns run ids to equal-address runs and builds integer keys
-   ``run_id * scale + day`` so that *per-address* day ranges can be
-   found with plain global ``searchsorted`` calls;
-4. answers every (observation, window) query at once with two vectorized
-   binary searches, then scatters the gaps back to each day's array
-   order.
+2. maps each address to an order-preserving int64 id
+   (:func:`repro.data.store.address_ids`: dense ranks of each column)
+   and each observation to the key ``id * scale + day-offset``, which
+   sorts like (address, day) — so one values-only ``np.sort`` of int64
+   keys replaces a two-column ``lexsort`` and its permutation;
+3. answers every reference observation's window query with two
+   vectorized binary searches of the sorted keys against themselves;
+   ``scale`` leaves a margin wider than the window, so a query never
+   leaves its address's key range and the gap is a key difference;
+4. regroups the gaps by day with a stable (radix) sort of the day
+   offsets: ids follow address order, so each day's rows come out in
+   that day's array order, with no scatter.
 
 The emitted :class:`~repro.core.temporal.StabilityResult` objects are
-bit-identical to the per-day window rescan (kept as a test oracle), while
+bit-identical to the per-day window rescan and to the former
+column-``lexsort`` chunk engine (both kept as test oracles), while
 each day array is touched O(1) times instead of O(window).
 
 Long campaigns are processed in bounded-memory chunks of reference days
@@ -70,7 +74,8 @@ DEFAULT_CHUNK_DAYS = 64
 
 
 class _SortedWindow:
-    """Observations of several days, sorted by (address, day).
+    """Observations of several days, sorted by (address, day): the live
+    window of :class:`SweepState`.
 
     ``hi``/``lo``/``day`` are the sorted columns; ``gid`` numbers
     equal-address runs; ``key = gid * scale + day-offset`` lets
@@ -138,14 +143,31 @@ def _concat_columns(
     return hi, lo, day
 
 
+def _address_day_keys(
+    hi: np.ndarray, lo: np.ndarray, day: np.ndarray, offset: int, scale: int
+) -> np.ndarray:
+    """Int64 keys ``address_id * scale + (day - offset)``.
+
+    Keys sort like (address, day).  When the rank-product id bound times
+    ``scale`` would pass 2**62, the ids are first re-ranked densely (one
+    id per distinct address); only that many distinct addresses raise.
+    """
+    ids, bound = obstore.address_ids(hi, lo)
+    if bound * scale >= 2**62:
+        ids, bound = obstore.dense_ranks(ids)
+        if bound * scale >= 2**62:
+            raise ValueError("day span too large for sweep keys; reduce chunk_days")
+    return ids * scale + (day - offset)
+
+
 def grouped_spans(
     arrays: Sequence[np.ndarray], days: Sequence[int]
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-address (addresses, first, last, days_seen) over day arrays.
 
-    The sweep engine's grouped pass without a window: one stable column
-    sort by (address, day) instead of a structured ``np.unique`` plus
-    scalar-dispatch ``ufunc.at`` updates.  Backs
+    The sweep engine's grouped pass without a window: one numeric sort of
+    int64 (address id, day) keys instead of a structured ``np.unique``
+    plus scalar-dispatch ``ufunc.at`` updates.  Backs
     :func:`repro.core.churn.observation_spans`.
     """
     total = sum(array.shape[0] for array in arrays)
@@ -153,17 +175,21 @@ def grouped_spans(
         empty = np.empty(0, dtype=np.int64)
         return np.empty(0, dtype=ADDRESS_DTYPE), empty, empty.copy(), empty.copy()
     hi, lo, day = _concat_columns(arrays, [int(d) for d in days])
-    order = np.lexsort((day, lo, hi))
-    shi, slo, sday = hi[order], lo[order], day[order]
-    boundary = np.empty(total, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = (shi[1:] != shi[:-1]) | (slo[1:] != slo[:-1])
-    starts = np.nonzero(boundary)[0]
-    ends = np.concatenate([starts[1:], [total]])
+    offset = int(day.min())
+    scale = int(day.max()) - offset + 1
+    key = _address_day_keys(hi, lo, day, offset, scale)
+    order = np.argsort(key)
+    key = key[order]
+    # Runs of equal ``key // scale`` are one address's days, in order.
+    address_id = key // scale
+    starts = np.flatnonzero(np.diff(address_id, prepend=-1))
+    ends = np.append(starts[1:], total)
+    day = key - address_id * scale + offset
+    rows = order[starts]
     addresses = np.empty(starts.shape[0], dtype=ADDRESS_DTYPE)
-    addresses["hi"] = shi[starts]
-    addresses["lo"] = slo[starts]
-    return addresses, sday[starts], sday[ends - 1], ends - starts
+    addresses["hi"] = hi[rows]
+    addresses["lo"] = lo[rows]
+    return addresses, day[starts], day[ends - 1], ends - starts
 
 
 def _plan_chunks(ref_days: Sequence[int], chunk_days: int) -> List[List[int]]:
@@ -195,38 +221,39 @@ def _sweep_chunk(
     high = ref_days[-1] + window_after
     window_days = [day for day in observations.days() if low <= day <= high]
     arrays = [observations.array(day) for day in window_days]
-    sizes = [array.shape[0] for array in arrays]
-    total = sum(sizes)
-    if total == 0:
+    if sum(array.shape[0] for array in arrays) == 0:
         return [(day, np.empty(0, dtype=np.int64)) for day in ref_days]
     hi, lo, day_col = _concat_columns(arrays, window_days)
-    # Stable, so each address's rows keep their chronological order.
-    order = np.lexsort((lo, hi))
-    window = _SortedWindow(
-        hi[order], lo[order], day_col[order], margin=window_before + window_after + 1
-    )
-    # Mark which sorted positions belong to reference days (boundary days
-    # are context only — their own windows extend outside this chunk).
-    span = int(window.day.max()) - window.offset + 1
+    offset = window_days[0]
+    span = window_days[-1] - offset + 1
+    # The margin keeps every window query inside its own address's keys.
+    scale = span + window_before + window_after + 1
+    key = np.sort(_address_day_keys(hi, lo, day_col, offset, scale))
+    day_offset = key % scale
+    # Boundary days are context only: their own windows leave the chunk.
     is_ref = np.zeros(span, dtype=bool)
     for day in ref_days:
-        if 0 <= day - window.offset < span:
-            is_ref[day - window.offset] = True
-    qpos = np.nonzero(is_ref[window.day - window.offset])[0]
-    gaps_all = np.empty(total, dtype=np.int64)
-    if qpos.shape[0]:
-        qday = window.day[qpos]
-        first, last = window.extremes(qpos, qday - window_before, qday + window_after)
-        gaps_all[order[qpos]] = last - first
-    starts = np.concatenate([[0], np.cumsum(sizes)])
-    day_index = {day: i for i, day in enumerate(window_days)}
+        if 0 <= day - offset < span:
+            is_ref[day - offset] = True
+    ref_rows = np.flatnonzero(is_ref[day_offset])
+    query = key[ref_rows]
+    first = np.searchsorted(key, query - window_before, side="left")
+    last = np.searchsorted(key, query + window_after, side="right") - 1
+    # Both ends hold the queried address, so key differences are day gaps.
+    gaps = key[last] - key[first]
+    # Regroup by day.  Within a day, ids (hence keys) follow address
+    # order, which is the day array's order; a stable sort of <=16-bit
+    # offsets is a radix sort.
+    ref_offset = day_offset[ref_rows]
+    if span <= 1 << 16:
+        ref_offset = ref_offset.astype(np.uint16)
+    gaps = gaps[np.argsort(ref_offset, kind="stable")]
     out: List[Tuple[int, np.ndarray]] = []
+    start = 0
     for day in ref_days:
-        i = day_index.get(day)
-        if i is None:
-            out.append((day, np.empty(0, dtype=np.int64)))
-        else:
-            out.append((day, gaps_all[starts[i] : starts[i + 1]]))
+        size = observations.array(day).shape[0]
+        out.append((day, gaps[start : start + size]))
+        start += size
     return out
 
 

@@ -10,9 +10,10 @@ sorted lexicographically and deduplicated.  The per-day set algebra
 (truncation, union, intersection, difference, membership, hit merges) runs
 on those two columns through a few sort-aware kernels
 (:func:`canonical_columns`, :func:`search_sorted`): sorted input skips the
-sort, unsorted input takes one column ``lexsort``, and lookups are numeric
-``searchsorted`` calls — never a structured-dtype ``unique`` /
-``intersect1d`` / ``union1d``, whose void comparisons cost 10-100x more.
+sort, unsorted input is ordered by the int64 ids of :func:`address_ids`,
+and lookups are numeric ``searchsorted`` calls — never a structured-dtype
+``unique`` / ``intersect1d`` / ``union1d``, whose void comparisons cost
+10-100x more, nor a two-column ``lexsort``.
 
 Days are plain integers (day numbers); use any epoch you like, as the
 classifiers only ever take differences.  :func:`day_number` converts ISO
@@ -65,6 +66,41 @@ def _pack(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return array
 
 
+def dense_ranks(values: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Rank each value among the distinct values of ``values``.
+
+    Returns int64 ranks (equal values share a rank, smaller values get
+    smaller ranks) and the number of distinct values.  One plain
+    ``np.argsort``; ties need no stability because they share a rank.
+    """
+    n = values.shape[0]
+    if n == 0:
+        return np.empty(0, dtype=np.int64), 0
+    order = np.argsort(values)
+    ordered = values[order]
+    ranked = np.empty(n, dtype=np.int64)
+    ranked[0] = 0
+    np.cumsum(ordered[1:] != ordered[:-1], out=ranked[1:])
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[order] = ranked
+    return ranks, int(ranked[-1]) + 1
+
+
+def address_ids(hi: np.ndarray, lo: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Order-preserving int64 ids for 128-bit addresses held as columns.
+
+    ``hi_rank * lo_count + lo_rank``, from the dense ranks of each column:
+    equal addresses get equal ids, and ids compare like the addresses, so
+    one numeric sort of the ids (or of keys built on them) orders rows by
+    address.  Returns the ids and their exclusive upper
+    bound ``hi_count * lo_count`` (at most ``len(hi) ** 2``, so the ids
+    fit int64 for any array that fits in memory).
+    """
+    hi_rank, hi_count = dense_ranks(hi)
+    lo_rank, lo_count = dense_ranks(lo)
+    return hi_rank * lo_count + lo_rank, hi_count * lo_count
+
+
 def _run_starts(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """First row of every run of equal addresses in sorted columns."""
     boundary = np.empty(hi.shape[0], dtype=bool)
@@ -93,16 +129,17 @@ def canonical_columns(
 
     The one sort-and-dedupe kernel: columns already in non-decreasing
     order (sorted days, truncations of sorted days) skip the sort, and
-    the rest take one stable column ``lexsort`` instead of a
-    structured-dtype sort.  Equal-address runs keep their first row and,
-    with ``hits``, the uint64 sum of the run's hits (wrapping like
-    ``np.add.at``).  Returns the inputs themselves when they are already
-    strictly increasing.
+    the rest are ordered by one numeric ``argsort`` of their
+    :func:`address_ids` instead of a structured-dtype sort.  Equal-address
+    runs keep their first row and, with ``hits``, the uint64 sum of the
+    run's hits (wrapping like ``np.add.at``, so the order inside a run
+    does not matter).  Returns the inputs themselves when they are
+    already strictly increasing.
     """
     if hi.shape[0] > 1:
         ascending = (hi[1:] > hi[:-1]) | ((hi[1:] == hi[:-1]) & (lo[1:] >= lo[:-1]))
         if not ascending.all():
-            order = np.lexsort((lo, hi))
+            order = np.argsort(address_ids(hi, lo)[0])
             hi, lo = hi[order], lo[order]
             if hits is not None:
                 hits = hits[order]

@@ -24,9 +24,10 @@ Safety properties, mirroring the day-log cache's design:
   bytes; a truncated or corrupted payload fails the hash check, and
   the chunk is silently recomputed.
 * **Run signature** — every entry embeds a digest of the sweep's
-  parameters and a fingerprint of its input stores (per-day sizes and
-  boundary addresses).  Changing the logs, the window, or the chunking
-  invalidates old entries wholesale; stale resume cannot occur.
+  parameters and of its input stores (every day's number and full
+  ``(hi, lo)`` address bytes).  Changing any address of any day, the
+  window, or the chunking invalidates old entries wholesale; stale
+  resume cannot occur.
 
 The fault-injection harness can arm ``REPRO_FAULT_KILL_AFTER_CHECKPOINTS``
 to SIGKILL the process after the N-th checkpoint write — the
@@ -46,7 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 #: Bump when the on-disk layout changes; mismatched entries are ignored.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: Environment variable: SIGKILL the process after this many checkpoint
 #: writes (deterministic fault injection; see repro.sim.faults).
@@ -75,14 +76,13 @@ def sweep_signature(
     window_after: int,
     chunk_days: int,
 ) -> str:
-    """Digest of a sweep's parameters plus a fingerprint of its inputs.
+    """Digest of a sweep's parameters and of its input stores.
 
-    The store fingerprint hashes, per store key and day: the day number,
-    the array size, and the first/last (hi, lo) address — cheap to
-    compute (no full-content hashing of millions of addresses) yet
-    sensitive to any re-ingestion that changed a day's membership at
-    the boundaries or its cardinality, which is what re-parsed or
-    quarantined inputs actually perturb.
+    The store part hashes, per store key and day, the day number, the
+    array size and the day's whole ``(hi, lo)`` address array, so any
+    edited address changes the signature — an interior one included,
+    with the day's size and boundary addresses unchanged.  Hashing is
+    one SHA-256 pass over 16 bytes per address.
     """
     hasher = hashlib.sha256()
     header = {
@@ -98,13 +98,8 @@ def sweep_signature(
         hasher.update(f"|store={int(key)}".encode())
         for day in store.days():  # type: ignore[attr-defined]
             array = store.array(day)  # type: ignore[attr-defined]
-            n = int(array.shape[0])
-            hasher.update(f"|{int(day)}:{n}".encode())
-            if n:
-                hasher.update(
-                    f":{int(array['hi'][0])}:{int(array['lo'][0])}"
-                    f":{int(array['hi'][-1])}:{int(array['lo'][-1])}".encode()
-                )
+            hasher.update(f"|{int(day)}:{int(array.shape[0])}".encode())
+            hasher.update(np.ascontiguousarray(array).view(np.uint8))
     return hasher.hexdigest()
 
 

@@ -44,6 +44,17 @@ def _make_store(n_days=8):
     return store
 
 
+def _interior_edit_pair():
+    """Two stores whose day 3 differs in one interior address only: the
+    same size and the same first and last address."""
+    old, new = ObservationStore(), ObservationStore()
+    for day in range(8):
+        values = [1, 10 + day % 3, 20 + day % 2, 100]
+        old.add_day(day, values)
+        new.add_day(day, [15 if v == 10 and day == 3 else v for v in values])
+    return old, new
+
+
 def _pairs(days=(0, 1, 2)):
     return [(day, np.arange(day + 2, dtype=np.int64)) for day in days]
 
@@ -74,6 +85,13 @@ class TestSweepSignature:
         lo = np.arange(1, 4, dtype=np.uint64)
         other.add_observations(DailyObservations.from_halves(0, hi, lo, merged=True))
         assert sweep_signature({0: other}, days, 3, 3, 4) != base
+
+    def test_sensitive_to_interior_address(self):
+        old, new = _interior_edit_pair()
+        days = old.days()
+        assert sweep_signature({0: new}, days, 3, 3, 4) != sweep_signature(
+            {0: old}, days, 3, 3, 4
+        )
 
     def test_sensitive_to_store_key(self):
         store = _make_store()
@@ -198,6 +216,19 @@ class TestSweepWithCheckpoints:
         assert sink and sink[0].tasks > 0  # stale entries were not trusted
         plain = sweep_mod.sweep_days(store, window_before=4, window_after=3)
         assert _results_equal(widened, plain)
+
+    def test_interior_edit_is_not_resumed(self, tmp_path):
+        """A day edited inside its boundaries invalidates the old chunks."""
+        old, new = _interior_edit_pair()
+        ck = str(tmp_path / "ck")
+        sweep_mod.sweep_days(old, window_before=3, window_after=3, checkpoint_dir=ck)
+        resumed = sweep_mod.sweep_days(
+            new, window_before=3, window_after=3, checkpoint_dir=ck
+        )
+        fresh = sweep_mod.sweep_days(new, window_before=3, window_after=3)
+        stale = sweep_mod.sweep_days(old, window_before=3, window_after=3)
+        assert [r.gaps.tolist() for r in fresh] != [r.gaps.tolist() for r in stale]
+        assert _results_equal(resumed, fresh)
 
     def test_parallel_checkpointed_matches_serial(self, tmp_path):
         store = _make_store()

@@ -320,6 +320,8 @@ class TestR008SetRoutine:
             "np.union1d(a, b)",
             "np.setdiff1d(a, b, assume_unique=True)",
             "numpy.isin(a, b)",
+            "np.lexsort((lo, hi))",
+            "numpy.lexsort((day, lo, hi))",
         ],
     )
     def test_set_routines_trip_in_core_and_data(self, call):
@@ -336,13 +338,50 @@ class TestR008SetRoutine:
         """
         assert ids(source, path=DATA) == ["R008"]
 
+    @pytest.mark.parametrize(
+        "source, path",
+        [
+            # data/store.canonical_columns, unsorted input.
+            (
+                """
+                if not ascending.all():
+                    order = np.lexsort((lo, hi))
+                    hi, lo = hi[order], lo[order]
+                """,
+                DATA,
+            ),
+            # core/sweep.grouped_spans.
+            (
+                """
+                hi, lo, day = _concat_columns(arrays, [int(d) for d in days])
+                order = np.lexsort((day, lo, hi))
+                shi, slo, sday = hi[order], lo[order], day[order]
+                """,
+                CORE,
+            ),
+            # core/sweep._sweep_chunk.
+            (
+                """
+                hi, lo, day_col = _concat_columns(arrays, window_days)
+                # Stable, so each address's rows keep their chronological order.
+                order = np.lexsort((lo, hi))
+                """,
+                CORE,
+            ),
+        ],
+    )
+    def test_parent_column_lexsorts_trip(self, source, path):
+        # The three column sorts the int64 address-id keys replaced.
+        assert ids(source, path=path) == ["R008"]
+
     def test_rule_is_scoped_to_core_and_data(self):
         assert ids("out = np.unique(values)\n", path=OTHER) == []
         assert ids("out = np.unique(values)\n", path=SIM) == []
 
     def test_kernels_and_other_numpy_calls_pass(self):
         source = """
-            order = np.lexsort((lo, hi))
+            order = np.argsort(obstore.address_ids(hi, lo)[0])
+            keys = np.sort(ids * scale + day)
             sums = np.add.reduceat(hits, starts)
             where = np.searchsorted(hi, query_hi)
             merged = obstore.union_many(arrays)
@@ -361,6 +400,7 @@ class TestR008SetRoutine:
         assert main(["--explain", "R008"]) == 0
         out = capsys.readouterr().out
         assert "Invariant:" in out and "canonical_columns" in out
+        assert "lexsort" in out and "address_ids" in out
 
 
 class TestSuppression:

@@ -334,3 +334,44 @@ class TestColumnKernelsMatchOracle:
                 haystack["hi"], haystack["lo"], queries["hi"], queries["lo"], side
             )
             assert got.tolist() == np.searchsorted(haystack, queries, side).tolist()
+
+
+class TestAddressIds:
+    """``address_ids``: the rank kernel the sweep and the unsorted
+    ``canonical_columns`` path sort on instead of a column ``lexsort``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_addresses)
+    def test_order_preserving_injective_and_bounded(self, values):
+        hi, lo = ints_to_halves(values)
+        ids, bound = obstore.address_ids(hi, lo)
+        assert ids.dtype == np.int64
+        assert ids.shape == hi.shape
+        assert bound == len(set(hi.tolist())) * len(set(lo.tolist()))
+        assert bound <= len(values) ** 2
+        assert all(0 <= i < bound for i in ids.tolist())
+        # Same order as the 128-bit values, ties exactly where they tie:
+        # order-preserving and injective on distinct addresses.
+        for a, i in zip(values, ids.tolist()):
+            for b, j in zip(values, ids.tolist()):
+                assert (a < b) == (i < j) and (a == b) == (i == j)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, (1 << 64) - 1), max_size=50))
+    def test_dense_ranks(self, values):
+        column = np.asarray(values, dtype=np.uint64)
+        ranks, count = obstore.dense_ranks(column)
+        distinct = sorted(set(values))
+        assert ranks.dtype == np.int64
+        assert count == len(distinct)
+        assert ranks.tolist() == [distinct.index(v) for v in values]
+
+    def test_straddles_and_extremes(self):
+        values = [ALL_ONES, 1 << 64, 0, (1 << 64) - 1, 1 << 64, ALL_ONES - 1]
+        hi, lo = ints_to_halves(values)
+        ids, bound = obstore.address_ids(hi, lo)
+        assert bound == 3 * 3
+        assert np.argsort(ids, kind="stable").tolist() == sorted(
+            range(len(values)), key=lambda i: values[i]
+        )
+        assert ids[1] == ids[4]

@@ -10,8 +10,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.streaming import StabilityStream, stream_classify
+from repro.core import sweep as sweep_module
 from repro.core.sweep import (
     SweepState,
     _concat_columns,
@@ -24,7 +27,9 @@ from repro.core.temporal import StabilityResult, classify_week, stability_table
 from repro.data import store as obstore
 from repro.data.logfile import load_store
 from repro.data.store import ObservationStore
+from tests.oracles import sweep as oracle_sweep
 from tests.oracles.temporal import reference_classify_day
+from tests.test_store import ALL_ONES, boundary_address
 
 
 def make_gappy_store(seed=11, num_days=60, pool=700, missing=0.25):
@@ -278,8 +283,6 @@ class TestWeekAndTableRebase:
 
     def test_stability_table_classifies_reference_day_once(self, monkeypatch):
         """The daily column and the week share one sweep classification."""
-        from repro.core import sweep as sweep_module
-
         store, _ = make_gappy_store(seed=43)
         seen_days = []
         original = sweep_module._sweep_chunk
@@ -315,6 +318,105 @@ class TestGroupedSpans:
         addresses, first, last, seen = grouped_spans([], [])
         assert addresses.shape[0] == 0
         assert first.shape[0] == last.shape[0] == seen.shape[0] == 0
+
+
+#: Address pools: boundary-biased, or every address under one /120.
+address_pool = st.one_of(
+    st.lists(boundary_address, min_size=1, max_size=12),
+    st.integers(0, ALL_ONES).map(
+        lambda base: [(base & ~0xFF) | i for i in range(256)]
+    ),
+)
+
+
+@st.composite
+def gappy_stores(draw):
+    """(store, ref_days): empty days, single-address days and day gaps
+    sized to the tested windows (1, 3, 4, 7, 8, 10, 11 days)."""
+    pool = draw(address_pool)
+    store = ObservationStore()
+    day = draw(st.integers(0, 5))
+    for _ in range(draw(st.integers(0, 9))):
+        day += draw(st.sampled_from([1, 1, 2, 3, 4, 7, 8, 10, 11]))
+        values = draw(
+            st.one_of(
+                st.just([]),
+                st.sampled_from(pool).map(lambda value: [value]),
+                st.lists(st.sampled_from(pool), max_size=30),
+            )
+        )
+        store.add_day(day, values)
+    absent = draw(st.lists(st.integers(0, day + 12), max_size=3))
+    return store, sorted(set(store.days()) | set(absent))
+
+
+def assert_chunks_equal(got, want):
+    assert [day for day, _ in got] == [day for day, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert a.dtype == b.dtype == np.int64
+        assert a.tolist() == b.tolist()
+
+
+class TestSweepChunkMatchesOracle:
+    """The id-key chunk kernel against the column-``lexsort`` oracle,
+    chunk for chunk."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        gappy_stores(),
+        st.sampled_from([1, 7, 64]),
+        st.sampled_from([(0, 0), (7, 7), (3, 10)]),
+    )
+    def test_every_chunk_identical(self, case, chunk_days, window):
+        store, ref_days = case
+        if not ref_days:
+            return
+        for chunk in sweep_module._plan_chunks(ref_days, chunk_days):
+            assert_chunks_equal(
+                sweep_module._sweep_chunk(store, chunk, *window),
+                oracle_sweep._sweep_chunk(store, chunk, *window),
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(gappy_stores())
+    def test_grouped_spans_identical(self, case):
+        store, _ = case
+        days = store.days()
+        arrays = [store.array(day) for day in days]
+        got = grouped_spans(arrays, days)
+        want = oracle_sweep.grouped_spans(arrays, days)
+        assert got[0].tobytes() == want[0].tobytes()
+        for a, b in zip(got[1:], want[1:]):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+    def test_key_overflow_reranks_to_the_same_result(self):
+        """Distinct hi and lo columns make the id bound n**2; a window
+        that overflows ``bound * scale`` but not the oracle's
+        ``distinct * scale`` guard must re-rank, not raise."""
+        values = [(i << 64) | (7 * i + 3) for i in range(1, 300)]
+        store = ObservationStore()
+        for day in range(6):
+            store.add_day(day, values[day * 40 : day * 40 + 120])
+        ref_days = store.days()
+        before, after = 2**62 // 80_000, 2
+        hi, lo, _ = _concat_columns(
+            [store.array(day) for day in ref_days], ref_days
+        )
+        scale = 6 + before + after + 1
+        assert obstore.address_ids(hi, lo)[1] * scale >= 2**62
+        assert len(values) * scale < 2**62
+        got = sweep_module._sweep_chunk(store, ref_days, before, after)
+        assert_chunks_equal(
+            got, oracle_sweep._sweep_chunk(store, ref_days, before, after)
+        )
+        assert any(gaps.any() for _, gaps in got)
+
+    def test_key_overflow_past_dense_ranks_raises(self):
+        store = ObservationStore()
+        store.add_day(0, [1, 2, 3])
+        for chunk_kernel in (sweep_module._sweep_chunk, oracle_sweep._sweep_chunk):
+            with pytest.raises(ValueError, match="reduce chunk_days"):
+                chunk_kernel(store, [0], 2**61, 0)
 
 
 def _golden_store():
